@@ -179,20 +179,14 @@ def _formats_explain(spec: str) -> str:
         f"[{dataset}, {backend.label}] fused network plan "
         f"(mode={net.rounding_mode})",
         f"{'layer':<6}{'shape':<12}{'act':<10}{'path':<9}"
-        f"{'operands':<10}{'tables':<10}candidates (best-of-3 us)",
+        f"{'operands':<10}{'tables':<10}eligible",
     ]
     for row in report:
         shape = f"{row['in_features']}->{row['out_features']}"
-        timings = row["timings_us"]
-        timing_str = (
-            "uncontested: " + "/".join(e for e in row["eligible"] if e != "layer")
-            if timings is None
-            else " ".join(f"{p}={t}" for p, t in sorted(timings.items()))
-        )
         lines.append(
             f"{row['layer']:<6}{shape:<12}{row['activation']:<10}"
             f"{row['path']:<9}{row['wants']:<10}"
-            f"{row['table_bytes'] / 1024:>7.1f}KB {timing_str}"
+            f"{row['table_bytes'] / 1024:>7.1f}KB {'/'.join(row['eligible'])}"
         )
     total = sum(row["table_bytes"] for row in report)
     lines.append(f"total compiled-table footprint: {total / 1024:.1f}KB")

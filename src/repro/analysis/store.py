@@ -15,7 +15,12 @@ Layout (under :func:`repro.analysis.cache.cache_dir`)::
 
 Both tiers are written atomically via per-writer unique temp files, so
 parallel sweep workers can race on the same artifact safely (worst case: a
-duplicated identical write).  Corrupt files are deleted and recomputed.
+duplicated identical write).  Every artifact records a sha256 digest of its
+content (models also their member names), and a load keeps one rule: the
+digest matches or the artifact is gone — a file that fails to parse or to
+verify is deleted and recomputed.  Zip CRCs alone are not enough: they
+cover member data but not member names, so a flipped byte in an ``.npz``
+central directory can rename a member.
 ``REPRO_NO_CACHE=1`` bypasses the store entirely; ``REPRO_CACHE_DIR``
 relocates it.
 
@@ -51,7 +56,8 @@ __all__ = ["content_key", "ArtifactStore", "artifact_store", "store_enabled"]
 
 #: Bump when the serialized artifact layout changes incompatibly; it is
 #: hashed into every key, so old artifacts are orphaned, not misread.
-SCHEMA_VERSION = 1
+#: Version 2 added the content digests.
+SCHEMA_VERSION = 2
 
 
 def _canonical(obj: Any) -> Any:
@@ -66,6 +72,22 @@ def _canonical(obj: Any) -> Any:
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     return repr(obj)
+
+
+def _arrays_digest(arrays: dict[str, np.ndarray]) -> str:
+    """sha256 over every array's name, dtype, shape and bytes, name-ordered."""
+    digest = hashlib.sha256()
+    for name in sorted(arrays):
+        array = np.ascontiguousarray(arrays[name])
+        digest.update(json.dumps([name, array.dtype.str, array.shape]).encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _json_digest(value: Any) -> str:
+    """sha256 over the canonical JSON text of a JSON value."""
+    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def content_key(payload: Any) -> str:
@@ -97,16 +119,25 @@ class ArtifactStore:
 
     def save_model(self, key: str, arrays: dict[str, np.ndarray],
                    meta: dict[str, Any]) -> Path:
-        """Atomically store a model's arrays plus a JSON metadata sidecar."""
+        """Atomically store a model's arrays plus a JSON metadata sidecar.
+
+        The sidecar also records the member names and the arrays' digest,
+        which :meth:`load_model` verifies.
+        """
         self.models_dir.mkdir(parents=True, exist_ok=True)
         path = self.model_path(key)
+        record = {
+            "meta": meta,
+            "members": sorted(arrays),
+            "sha256": _arrays_digest(arrays),
+        }
         tmp = unique_tmp(path)
         try:
             with tmp.open("wb") as handle:
                 np.savez(
                     handle,
                     __meta__=np.frombuffer(
-                        json.dumps(meta).encode("utf-8"), dtype=np.uint8
+                        json.dumps(record).encode("utf-8"), dtype=np.uint8
                     ),
                     **arrays,
                 )
@@ -122,8 +153,9 @@ class ArtifactStore:
     def load_model(self, key: str) -> tuple[dict[str, np.ndarray], dict] | None:
         """(arrays, meta) for ``key``, or ``None`` (missing/corrupt).
 
-        A corrupt artifact (truncated write, bad zip, missing members) is
-        deleted so the caller recomputes and heals the store.
+        An artifact that fails to parse, or whose member names or digest
+        do not match its record, is deleted so the caller recomputes and
+        heals the store.
         """
         path = self.model_path(key)
         if not path.exists():
@@ -131,16 +163,22 @@ class ArtifactStore:
         try:
             with np.load(path) as data:
                 arrays = {k: data[k] for k in data.files if k != "__meta__"}
-                meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
-            return arrays, meta
+                record = json.loads(bytes(data["__meta__"]).decode("utf-8"))
+            intact = (
+                record["members"] == sorted(arrays)
+                and record["sha256"] == _arrays_digest(arrays)
+            )
         except (OSError, ValueError, KeyError, EOFError,
                 NotImplementedError, zipfile.BadZipFile,
                 json.JSONDecodeError):
             # EOFError: np.load on a file truncated inside the npy magic.
             # NotImplementedError: zipfile on a corrupted version-needed
             # field it reads as "unsupported zip feature".
+            intact = False
+        if not intact:
             path.unlink(missing_ok=True)
             return None
+        return arrays, record["meta"]
 
     # -- JSON artifacts (per-task sweep results) -----------------------
     @property
@@ -154,24 +192,34 @@ class ArtifactStore:
         return self.result_path(key).exists()
 
     def save_result(self, key: str, value: Any) -> Path:
+        """Atomically store a JSON value with its digest."""
         self.results_dir.mkdir(parents=True, exist_ok=True)
         path = self.result_path(key)
-        atomic_write_json(path, value)
+        value = json.loads(json.dumps(value))  # the value a load returns
+        atomic_write_json(path, {"sha256": _json_digest(value), "value": value})
         return path
 
     def load_result(self, key: str) -> Any | None:
-        """The stored JSON value, or ``None`` (missing or corrupt)."""
+        """The stored JSON value, or ``None`` (missing or corrupt).
+
+        A result that fails to parse or to match its digest is deleted.
+        """
         path = self.result_path(key)
         if not path.exists():
             return None
         try:
             with path.open() as handle:
-                return json.load(handle)
-        except (ValueError, OSError):
+                record = json.load(handle)
+            intact = record["sha256"] == _json_digest(record["value"])
+        except (ValueError, OSError, KeyError, TypeError):
             # ValueError covers JSONDecodeError and the UnicodeDecodeError
-            # corrupted bytes raise before JSON parsing begins.
+            # corrupted bytes raise before JSON parsing begins; KeyError
+            # and TypeError a file that parses but is not a result record.
+            intact = False
+        if not intact:
             path.unlink(missing_ok=True)
             return None
+        return record["value"]
 
 
 def artifact_store() -> ArtifactStore:

@@ -292,28 +292,25 @@ class PositronNetwork:
             for layer in twin.layers:
                 layer.recompile()
 
-    def network_kernel(self, force_path: str | None = None):
+    def network_kernel(self):
         """The whole network compiled into one fused plan, cached.
 
         Chains every layer through fused round-once / pattern-space ReLU /
-        operand-gather epilogues with a per-shape integer fast path (see
-        :mod:`repro.formats.network`).  The cache is keyed by the layers'
-        kernel epochs, so any :meth:`PositronLayer.recompile` — a weight
-        mutation, a rounding-mode change — invalidates it.  ``force_path``
-        pins every layer to one words path (testing hook, never cached).
+        operand-gather epilogues with a fixed integer fast path per layer
+        (see :mod:`repro.formats.network`).  The cache is keyed by the
+        layers' kernel epochs, so any :meth:`PositronLayer.recompile` — a
+        weight mutation, a rounding-mode change — invalidates it.
         """
         signature = tuple(layer._kernel_epoch for layer in self.layers)
         cached = self._network_plan
-        if force_path is None and cached is not None and cached[0] == signature:
+        if cached is not None and cached[0] == signature:
             return cached[1]
         plan = formats.backend_for(self.fmt).compile_network(
             [(l.weights, l.bias, l.activation) for l in self.layers],
             rounding_mode=self.rounding_mode,
             layer_kernels=[l._kernel for l in self.layers],
-            force_path=force_path,
         )
-        if force_path is None:
-            self._network_plan = (signature, plan)
+        self._network_plan = (signature, plan)
         return plan
 
     def forward_patterns(self, patterns: np.ndarray) -> np.ndarray:

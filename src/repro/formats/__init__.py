@@ -24,7 +24,6 @@ from .kernels import (
     TableLayerKernel,
     check_patterns,
     clear_scratch,
-    compile_layer,
     digit_planes,
     quire_bound_bits,
 )
@@ -33,8 +32,6 @@ from .network import (
     NetworkKernel,
     RoundTable,
     aligned_value_table,
-    compile_network,
-    exact_product_table,
     round_table,
 )
 from .quire import (
@@ -68,7 +65,6 @@ __all__ = [
     "TableLayerKernel",
     "MatmulLayerKernel",
     "DotLayerKernel",
-    "compile_layer",
     "digit_planes",
     "check_patterns",
     "quire_bound_bits",
@@ -76,10 +72,8 @@ __all__ = [
     "NetworkKernel",
     "RoundTable",
     "NETWORK_PATHS",
-    "compile_network",
     "round_table",
     "aligned_value_table",
-    "exact_product_table",
     "LIMB_BITS",
     "ROUNDING_MODES",
     "NormalizedQuire",

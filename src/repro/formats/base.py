@@ -129,14 +129,13 @@ class NumericFormat(ABC):
         *,
         rounding_mode="rne",
         layer_kernels=None,
-        force_path=None,
     ):
         """Compile a whole layer stack into one fused network plan.
 
         ``layers`` is a sequence of ``(weights, bias, activation)`` triples;
         the resulting :class:`~repro.formats.network.NetworkKernel` chains
         every layer through fused round-once / pattern-ReLU / operand-gather
-        epilogues and picks an integer fast path per layer shape (see
+        epilogues and takes a fixed integer fast path per layer (see
         :mod:`repro.formats.network`).  Pass the already compiled per-layer
         kernels via ``layer_kernels`` to let fallback layers reuse them.
         """
@@ -147,7 +146,6 @@ class NumericFormat(ABC):
             layers,
             rounding_mode=rounding_mode,
             layer_kernels=layer_kernels,
-            force_path=force_path,
         )
 
     def rank_table(self) -> np.ndarray:

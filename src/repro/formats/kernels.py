@@ -99,7 +99,6 @@ __all__ = [
     "TableLayerKernel",
     "MatmulLayerKernel",
     "DotLayerKernel",
-    "compile_layer",
     "digit_planes",
     "check_patterns",
     "quire_bound_bits",
@@ -593,17 +592,3 @@ class DotLayerKernel(LayerKernel):
             self._bias,
             rounding_mode=self.rounding_mode,
         )
-
-
-def compile_layer(
-    backend: NumericFormat,
-    weights: np.ndarray,
-    bias: np.ndarray | None = None,
-    *,
-    chunk_elements: int | None = None,
-    rounding_mode: str = "rne",
-) -> LayerKernel:
-    """Compile ``(weights, bias)`` into the backend's best layer kernel."""
-    return backend.compile_layer(
-        weights, bias, chunk_elements=chunk_elements, rounding_mode=rounding_mode
-    )

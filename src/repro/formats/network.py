@@ -35,30 +35,24 @@ patterns (and usually not even as patterns — see *operand fusion* below):
 
 Per-layer integer fast paths
 ----------------------------
-Each layer's *words computation* is chosen per shape at compile time from
-the eligible candidates, by actually timing them on a synthetic batch
-(decisions are cached per ``(backend, mode, shape)`` for the process):
+Each layer's *words computation* is a fixed function of the layer, chosen
+at compile time with no timing, so every process builds the same plan for
+the same network:
 
 ``plane``
     The per-layer kernels' plane-major stage: one float64 BLAS GEMM per
     live activation digit plane against the exact float64 weight values.
     Eligible when the layer is single-word and the weights are narrow
-    (``w_bits + LIMB_BITS + log2(in) <= 53``).
+    (``w_bits + LIMB_BITS + log2(in) <= 53``).  Taken by eligible layers
+    whose fan-in is at least ``_PLANE_MIN_FAN_IN`` (64), where its BLAS
+    GEMMs beat numpy's non-BLAS integer matmul.
 ``int64``
     A native int64 matmul: activations as exact aligned int64 values
     (one gather, usually pre-fused into the previous epilogue),
     ``A @ W.T`` in integer dtype.  Exact and overflow-free whenever the
     layer's quire bound fits int64: every product and every partial sum
-    is bounded by ``max_row sum|w| * max|a| < 2**62``.  This replaces the
-    limb-in-float64 trick wherever the single-word bound already holds.
-``product``
-    A product-rank gather for narrow fan-ins: the registry-memoized
-    ``(2**n, 2**n)`` *exact* product table (int64 products in quire-LSB
-    units — the exact-path sibling of the ablation layer's rounded
-    product table) is pre-gathered per input column, and
-    ``word[b, o] = sum_i table_i[a_bi, o]`` needs no digit decomposition
-    at all.  Eligible for table formats whose full product range fits
-    int64 and whose fan-in is small.
+    is bounded by ``max_row sum|w| * max|a| < 2**62``.  Taken by every
+    other single-word layer.
 ``layer``
     Fallback: the compiled per-layer kernel plus a composed epilogue
     gather.  Used when the quire bound exceeds int64 (pathological
@@ -67,7 +61,7 @@ the eligible candidates, by actually timing them on a synthetic batch
     inlined (its clipped signed outputs *are* monotone ranks, so the
     fused readout is a plain argmax).
 
-Exactness: all three fast paths compute the same exact int64 quire word,
+Exactness: both fast paths compute the same exact int64 quire word,
 then share the same oracle-derived round table — so they are bit-identical
 to each other, to the per-layer kernels, and to the scalar EMACs
 (property-tested across every registered format, both rounding modes, and
@@ -75,14 +69,12 @@ every forced path in ``tests/formats/test_network_kernel.py``).
 
 Obtain plans through :meth:`repro.formats.NumericFormat.compile_network`
 (or ``PositronNetwork.network_kernel()``, which recompiles automatically
-when a layer is recompiled); ``explain()`` reports the per-layer decision,
-candidate timings, and compiled-table footprint — surfaced as
+when a layer is recompiled); ``explain()`` reports each layer's path, its
+eligible paths, and the compiled-table footprint — surfaced as
 ``python -m repro formats --explain DATASET:FORMAT``.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -90,7 +82,6 @@ from . import kernels as _kernels
 from .base import NumericFormat
 from .kernels import (
     MatmulLayerKernel,
-    TableLayerKernel,
     _check_weights,
     _scratch,
     check_patterns,
@@ -107,26 +98,24 @@ from .quire import (
 __all__ = [
     "NetworkKernel",
     "RoundTable",
-    "compile_network",
     "aligned_value_table",
-    "exact_product_table",
     "round_table",
     "NETWORK_PATHS",
 ]
 
-#: Selectable per-layer words-computation paths (``force_path`` values).
-NETWORK_PATHS = ("plane", "int64", "product", "layer")
+#: Per-layer words-computation paths (``force_path`` values).
+NETWORK_PATHS = ("plane", "int64", "layer")
+
+#: Fan-in from which an eligible single-word layer takes ``plane`` rather
+#: than ``int64``.  Timed as one-layer plans over the 207 two-path layers
+#: of the Table II / Fig. 9 grid on a 2-vCPU Xeon, ``plane`` took a median
+#: 0.67x the ``int64`` time at 32 rows and fan-in 117, but 1.03-1.21x at
+#: every fan-in <= 30, and 1.21-1.26x at 1 row for every fan-in.
+_PLANE_MIN_FAN_IN = 64
 
 #: Single-word quires are bounded by ``|word| < 2**62``; the round tables
 #: cover exactly that window.
 _WORD_CAP = np.int64(1) << 62
-
-#: Product-rank candidacy: fan-in cap and per-layer gather-table budget.
-_PRODUCT_MAX_FAN_IN = 128
-_PRODUCT_MAX_TABLE_BYTES = 32 * 1024 * 1024
-
-#: Rows of the synthetic batch used to time candidate paths at compile.
-_PROBE_ROWS = 128
 
 #: Mantissa-bit depth range of the round-table bucket grid: the smallest
 #: ``m`` whose buckets separate all boundaries wins.  Adjacent boundaries
@@ -135,9 +124,6 @@ _PROBE_ROWS = 128
 #: ``128 << m`` entries (~4 MiB) per backend and rounding mode.
 _ROUND_KEY_MIN_M = 4
 _ROUND_KEY_MAX_M = 18
-
-#: Per-process decision cache: (backend, mode, shape, candidates) -> entry.
-_DECISIONS: dict[tuple, dict] = {}
 
 
 # ----------------------------------------------------------------------
@@ -159,29 +145,6 @@ def aligned_value_table(backend: NumericFormat) -> np.ndarray | None:
         return t.signed_sig << t.shift
 
     got = backend._memo("_aligned_value_table", build)
-    return None if got is False else got
-
-
-def exact_product_table(backend: NumericFormat) -> np.ndarray | None:
-    """The ``(2**n, 2**n)`` *exact* pattern-pair product table, memoized.
-
-    Entry ``[w, a]`` is the exact int64 product of the two patterns'
-    aligned values in quire-LSB units — the exact-accumulation sibling of
-    the ablation layer's rounded ``naive_product_table``.  ``None`` when
-    the format is too wide for the dense table (``n > 10``) or its product
-    range overflows int64 (e.g. posit8_2's maxpos products).
-    """
-
-    def build():
-        t = backend.limb_tables()
-        if t is None or backend.width > 10 or 2 * t.sig_bits + t.max_shift > 62:
-            return False
-        vals = aligned_value_table(backend)
-        if vals is None:
-            return False
-        return vals[:, None] * vals[None, :]
-
-    got = backend._memo("_exact_product_table", build)
     return None if got is False else got
 
 
@@ -346,10 +309,9 @@ class _TableStep:
 
     ``wants`` names the operand representation the step consumes —
     ``"aval"`` (exact int64 aligned values) for the int64 matmul,
-    ``"pattern"`` (int64 pattern indices) for the plane-major and
-    product-rank paths.  The *previous* step's epilogue produces it
-    directly; :meth:`finalize` composes this step's own epilogue table the
-    same way for its consumer.
+    ``"pattern"`` (int64 pattern indices) for the plane-major path.  The
+    *previous* step's epilogue produces it directly; :meth:`finalize`
+    composes this step's own epilogue table the same way for its consumer.
     """
 
     def __init__(self, backend, tables, wp, bp, activation, mode, path):
@@ -367,16 +329,7 @@ class _TableStep:
         if path == "int64":
             self.wants = "aval"
             self.w_t = np.ascontiguousarray(aligned_value_table(backend)[wp].T)
-        elif path == "product":
-            self.wants = "pattern"
-            products = exact_product_table(backend)
-            # Column i gathered as (2**n, out): word contributions of every
-            # possible activation pattern against every output's weight.
-            self.col_tables = [
-                np.ascontiguousarray(products[wp[:, i]].T)
-                for i in range(self.in_features)
-            ]
-        elif path == "plane":
+        else:  # plane
             self.wants = "pattern"
             digits = digit_planes(backend)
             live = [m for m in range(digits.shape[1]) if digits[:, m].any()]
@@ -386,8 +339,6 @@ class _TableStep:
             self.w_t = np.ascontiguousarray(w_vals.T)
             self.plane_tables = [np.ascontiguousarray(digits[:, m]) for m in live]
             self.plane_shifts = [LIMB_BITS * m for m in live]
-        else:  # pragma: no cover - guarded by the planner
-            raise ValueError(f"unknown table path {path!r}")
 
     # -- epilogue composition -------------------------------------------
     def _compose(self, wants: str | None) -> np.ndarray:
@@ -414,12 +365,6 @@ class _TableStep:
         words = scratch.get((rows, out_dim), np.int64, tag + "w")
         if self.path == "int64":
             np.matmul(ops, self.w_t, out=words)
-        elif self.path == "product":
-            np.take(self.col_tables[0], ops[:, 0], axis=0, out=words)
-            acc = scratch.get((rows, out_dim), np.int64, tag + "t")
-            for i in range(1, self.in_features):
-                np.take(self.col_tables[i], ops[:, i], axis=0, out=acc)
-                words += acc
         else:  # plane
             words.fill(0)
             staged = scratch.get(
@@ -444,11 +389,9 @@ class _TableStep:
         return out
 
     def table_bytes(self) -> int:
-        total = self.rt.boundaries.nbytes + self.slot_out.nbytes
-        if self.path == "product":
-            total += sum(t.nbytes for t in self.col_tables)
-        else:
-            total += self.w_t.nbytes
+        total = (
+            self.rt.boundaries.nbytes + self.slot_out.nbytes + self.w_t.nbytes
+        )
         if self.path == "plane":
             total += sum(t.nbytes for t in self.plane_tables)
         return total
@@ -566,10 +509,9 @@ class NetworkKernel:
     running the per-layer kernels with interleaved ReLU; :meth:`predict`
     returns rank-argmax class labels without materializing the readout.
 
-    ``force_path`` pins every layer to one words-computation path (testing
-    hook; raises if a layer is not eligible for it); by default each
-    layer's path is chosen by timing the eligible candidates once per
-    ``(backend, mode, shape)`` per process.
+    Each layer's words path is a fixed function of the layer (see the
+    module docstring).  ``force_path`` pins every layer to one path
+    instead (testing hook; raises if a layer is not eligible for it).
     """
 
     def __init__(
@@ -596,7 +538,7 @@ class NetworkKernel:
 
         self._tables = backend.limb_tables()
         self.steps = []
-        self._decisions = []
+        self._eligible = []
         prev_out = None
         for i, (weights, bias, activation) in enumerate(layers):
             weights, bias = _check_weights(weights, bias)
@@ -606,11 +548,11 @@ class NetworkKernel:
                     f"fan-out {prev_out}"
                 )
             prev_out = weights.shape[0]
-            step, decision = self._plan_layer(
+            step, eligible = self._plan_layer(
                 weights, bias, activation, layer_kernels[i], force_path
             )
             self.steps.append(step)
-            self._decisions.append(decision)
+            self._eligible.append(eligible)
 
         # Compose every epilogue for its consumer; the last step gets the
         # rank-readout variant too.
@@ -624,6 +566,7 @@ class NetworkKernel:
 
     # ------------------------------------------------------------------
     def _plan_layer(self, weights, bias, activation, kernel, force_path):
+        """``(step, eligible paths)`` for one layer."""
         backend, tables = self.backend, self._tables
         mode = self.rounding_mode
 
@@ -633,120 +576,62 @@ class NetworkKernel:
             )
 
         if tables is None:
-            probe = compiled()
-            if isinstance(probe, MatmulLayerKernel):
+            layer_kernel = compiled()
+            if isinstance(layer_kernel, MatmulLayerKernel):
                 if force_path not in (None, "int64"):
                     raise ValueError(
                         f"fixed point supports only the int64 path, "
                         f"not {force_path!r}"
                     )
                 step = _FixedStep(backend, weights, bias, activation, mode)
-                return step, {
-                    "path": "int64",
-                    "eligible": ("int64",),
-                    "timings_us": None,
-                }
+                return step, ("int64",)
             if force_path not in (None, "layer"):
                 raise ValueError(
                     f"{backend.name} has no limb tables; only the layer "
                     f"path is available"
                 )
-            step = _LayerStep(backend, probe, activation)
-            return step, {
-                "path": "layer",
-                "eligible": ("layer",),
-                "timings_us": None,
-            }
+            return _LayerStep(backend, layer_kernel, activation), ("layer",)
 
         wp = check_patterns(tables, weights, "weights")
         bp = None if bias is None else check_patterns(tables, bias, "bias")
-        eligible = self._eligible_paths(wp, bp)
-        if force_path is not None:
-            if force_path != "layer" and force_path not in eligible:
-                raise ValueError(
-                    f"layer shape {wp.shape} is not eligible for the "
-                    f"{force_path!r} path (eligible: {eligible + ('layer',)})"
-                )
-            chosen, timings = force_path, None
-        elif not eligible:
-            chosen, timings = "layer", None
-        elif len(eligible) == 1:
-            chosen, timings = eligible[0], None
+        eligible = self._eligible_paths(wp, bp) + ("layer",)
+        if force_path is None:
+            # Fixed rule: wide layers prefer plane, narrow ones int64;
+            # either falls back to the other, then to the per-layer kernel.
+            if wp.shape[1] >= _PLANE_MIN_FAN_IN:
+                order = ("plane", "int64", "layer")
+            else:
+                order = ("int64", "plane", "layer")
+            chosen = next(p for p in order if p in eligible)
+        elif force_path in eligible:
+            chosen = force_path
         else:
-            chosen, timings = self._decide(tables, wp, bp, activation, eligible)
+            raise ValueError(
+                f"layer shape {wp.shape} is not eligible for the "
+                f"{force_path!r} path (eligible: {eligible})"
+            )
         if chosen == "layer":
             step = _LayerStep(backend, compiled(), activation)
         else:
             step = _TableStep(backend, tables, wp, bp, activation, mode, chosen)
-        return step, {
-            "path": chosen,
-            "eligible": eligible + ("layer",),
-            "timings_us": timings,
-        }
+        return step, eligible
 
     def _eligible_paths(self, wp, bp) -> tuple[str, ...]:
+        """The single-word fast paths this layer's weights admit."""
         tables = self._tables
-        word_mode = quire_bound_bits(tables, wp, bp) <= 62
-        if not word_mode:
+        if quire_bound_bits(tables, wp, bp) > 62:
             return ()
-        out_dim, in_dim = wp.shape
         eligible = []
         w_vals = np.ldexp(
             tables.signed_sig[wp].astype(np.float64), tables.shift[wp]
         )
         w_max = np.abs(w_vals).max() if wp.size else 0.0
         w_bits = int(np.frexp(w_max)[1]) if w_max else 0
-        if w_bits + LIMB_BITS + max(1, in_dim).bit_length() <= 53:
+        if w_bits + LIMB_BITS + max(1, wp.shape[1]).bit_length() <= 53:
             eligible.append("plane")
         if aligned_value_table(self.backend) is not None:
             eligible.append("int64")
-        if (
-            exact_product_table(self.backend) is not None
-            and in_dim <= _PRODUCT_MAX_FAN_IN
-            and in_dim * out_dim * 8 << self.backend.width
-            <= _PRODUCT_MAX_TABLE_BYTES
-        ):
-            eligible.append("product")
         return tuple(eligible)
-
-    def _decide(self, tables, wp, bp, activation, eligible):
-        """Pick the fastest eligible path by timing a synthetic batch."""
-        key = (
-            self.backend.name,
-            self.rounding_mode,
-            wp.shape,
-            bp is not None,
-            eligible,
-        )
-        cached = _DECISIONS.get(key)
-        if cached is not None:
-            return cached["path"], cached["timings_us"]
-        rng = np.random.default_rng(0)
-        pool = np.flatnonzero(~tables.invalid).astype(np.int64)
-        patterns = rng.choice(pool, size=(_PROBE_ROWS, wp.shape[1]))
-        scratch = _scratch()
-        timings = {}
-        for path in eligible:
-            step = _TableStep(
-                self.backend, tables, wp, bp, activation,
-                self.rounding_mode, path,
-            )
-            step.finalize("pattern")
-            ops = (
-                aligned_value_table(self.backend)[patterns]
-                if step.wants == "aval"
-                else patterns
-            )
-            step.run(ops, scratch, "probe-")  # warm scratch + caches
-            best = float("inf")
-            for _ in range(3):
-                t0 = time.perf_counter()
-                step.run(ops, scratch, "probe-")
-                best = min(best, time.perf_counter() - t0)
-            timings[path] = round(best * 1e6, 2)
-        chosen = min(timings, key=timings.get)
-        _DECISIONS[key] = {"path": chosen, "timings_us": timings}
-        return chosen, timings
 
     # ------------------------------------------------------------------
     def _prepare(self, patterns) -> np.ndarray:
@@ -815,38 +700,17 @@ class NetworkKernel:
 
     # ------------------------------------------------------------------
     def explain(self) -> list[dict]:
-        """Per-layer compile decisions: path, eligibility, timings, bytes."""
-        report = []
-        for i, (step, decision) in enumerate(zip(self.steps, self._decisions)):
-            report.append(
-                {
-                    "layer": i,
-                    "in_features": step.in_features,
-                    "out_features": step.out_features,
-                    "activation": step.activation,
-                    "wants": step.wants,
-                    "path": decision["path"],
-                    "eligible": list(decision["eligible"]),
-                    "timings_us": decision["timings_us"],
-                    "table_bytes": step.table_bytes(),
-                }
-            )
-        return report
-
-
-def compile_network(
-    backend: NumericFormat,
-    layers,
-    *,
-    rounding_mode: str = "rne",
-    layer_kernels=None,
-    force_path: str | None = None,
-) -> NetworkKernel:
-    """Compile ``(weights, bias, activation)`` triples into a fused plan."""
-    return NetworkKernel(
-        backend,
-        layers,
-        rounding_mode=rounding_mode,
-        layer_kernels=layer_kernels,
-        force_path=force_path,
-    )
+        """Per-layer compile decisions: path, eligible paths, table bytes."""
+        return [
+            {
+                "layer": i,
+                "in_features": step.in_features,
+                "out_features": step.out_features,
+                "activation": step.activation,
+                "wants": step.wants,
+                "path": step.path,
+                "eligible": list(eligible),
+                "table_bytes": step.table_bytes(),
+            }
+            for i, (step, eligible) in enumerate(zip(self.steps, self._eligible))
+        ]

@@ -22,7 +22,7 @@ from .batcher import (
 from .client import ServeClient, ServeError
 from .pool import PoolHandle, WorkerPool, run_pool_forever, start_pool_in_thread
 from .registry import ModelRegistry, ServedModel, build_served_model
-from .scheduler import SchedulerPolicy, ThreadBatcher
+from .scheduler import SchedulerPolicy
 from .server import InferenceServer, ServerHandle, serve_forever, start_in_thread
 from .stats import ServeStats, merge_states, percentile
 
@@ -30,7 +30,6 @@ __all__ = [
     "ABExperiment",
     "MicroBatcher",
     "SchedulerPolicy",
-    "ThreadBatcher",
     "ServiceClosed",
     "QueueSaturated",
     "DeadlineExceeded",

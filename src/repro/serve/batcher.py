@@ -32,10 +32,9 @@ concurrent single requests into kernel-sized batches:
 
 Every scheduling *decision* — effective delay, shed threshold, deadline
 expiry, slice caps, poison isolation — lives in
-:class:`~repro.serve.scheduler.SchedulerPolicy` and the shared helpers in
-:mod:`repro.serve.scheduler`, which also provides the loop-free
-:class:`~repro.serve.scheduler.ThreadBatcher` binding used by the
-process-pool worker tier.  This module is only the asyncio plumbing.
+:class:`~repro.serve.scheduler.SchedulerPolicy` and the helpers in
+:mod:`repro.serve.scheduler`.  This module is only the asyncio plumbing,
+the one binding the HTTP server and every process-pool worker run.
 
 **Bit-exactness.** Coalescing cannot change any answer: quantization is
 elementwise (stacking quantized requests equals quantizing the stacked
@@ -75,8 +74,8 @@ __all__ = [
     "POINT_BATCH",
 ]
 
-#: Back-compat alias — the pending-request record now lives in
-#: :mod:`repro.serve.scheduler`, shared by both transport bindings.
+#: Back-compat alias — the pending-request record lives in
+#: :mod:`repro.serve.scheduler`.
 _Pending = PendingRequest
 
 

@@ -99,9 +99,9 @@ def build_served_model(
     weights, biases = tm.model.export_params()
     network = PositronNetwork.from_float_params(backend.fmt, weights, biases)
     # Warm the fused whole-network plan here, off the request path: the
-    # batcher's predict_patterns rides it, and compiling it involves
-    # round-table bisection plus per-layer fast-path timing probes that
-    # must not land on the first request's latency.
+    # batcher's predict_patterns rides it, and compiling it (round-table
+    # bisection, per-layer operand tables) must not land on the first
+    # request's latency.
     network.network_kernel()
     return ServedModel(
         dataset=dataset,

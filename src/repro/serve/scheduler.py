@@ -4,48 +4,33 @@ The micro-batching contract — coalesce until ``max_batch`` rows or an
 (adaptively tuned) deadline, shed when saturated, expire per-request
 deadlines before any kernel work, split oversized stacks, isolate poison
 requests — is pure scheduling policy.  Nothing in it needs an event
-loop, so this module holds the policy **once** and the transports bind
-it thinly:
-
-* :class:`~repro.serve.batcher.MicroBatcher` — the asyncio binding the
-  HTTP server runs (one worker task per served model);
-* :class:`ThreadBatcher` (here) — the same scheduler driven by a plain
-  worker thread over a :class:`queue.Queue`, usable anywhere without an
-  event loop: embedded callers, benchmarks, and the process-pool worker
-  tier (:mod:`repro.serve.pool`), whose workers are separate processes
-  that need batching without inheriting the parent's loop.
-
-Both bindings share :class:`SchedulerPolicy` (every decision: effective
+loop, so this module holds the policy (:class:`SchedulerPolicy`: effective
 delay, shed threshold, deadline expiry) and the executor-side helpers
-(:func:`stack_batch`, :func:`predict_in_slices`), so their observable
-behavior is identical by construction — and property-tested to be, in
-``tests/serve/test_scheduler.py``, which parametrizes the batcher suite
-over both.
+(:func:`stack_batch`, :func:`predict_in_slices`), and the transport binds
+them thinly: :class:`~repro.serve.batcher.MicroBatcher`, the asyncio
+binding that the HTTP server — and so every process-pool worker — runs,
+one worker task per served model.  ``tests/serve/test_scheduler.py``
+tests the policy with no transport at all and the binding's contract
+through one driver.
 
 **Bit-exactness.**  Scheduling cannot change any answer: quantization is
 elementwise, every kernel partial sum is an exact integer in float64, and
-the rank-table argmax is per-row — so coalescing, splitting, or executing
-on a different transport is bit-identical to direct ``predict``.
+the rank-table argmax is per-row — so coalescing or splitting is
+bit-identical to direct ``predict``.
 """
 
 from __future__ import annotations
 
 import math
-import queue
-import threading
-import time
-from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from .. import faults
-from .stats import ServeStats
 
 __all__ = [
     "SchedulerPolicy",
-    "ThreadBatcher",
     "ServiceClosed",
     "QueueSaturated",
     "DeadlineExceeded",
@@ -65,7 +50,7 @@ POINT_BATCH = faults.register_point(
 )
 
 #: Fires in whichever **process** is executing serving work — at
-#: ``phase=batch`` here (every micro-batch, any transport), and at
+#: ``phase=batch`` here (every micro-batch), and at
 #: ``phase=start`` / ``phase=ready`` / ``phase=drain`` in a pool worker's
 #: lifecycle (:mod:`repro.serve.pool`).  ``kill:match=phase=batch``
 #: drops a pool worker mid-batch; ``kill:match=phase=start`` kills it
@@ -102,11 +87,10 @@ class DeadlineExceeded(RuntimeError):
 class PendingRequest:
     """One enqueued request: quantized patterns plus its result future.
 
-    ``future`` is whatever the transport resolves — an
-    :class:`asyncio.Future` under the asyncio binding, a
-    :class:`concurrent.futures.Future` under the thread binding.  Both
-    expose ``done`` / ``set_result`` / ``set_exception``, which is all
-    the shared resolution code touches.
+    ``future`` is whatever the transport resolves (an
+    :class:`asyncio.Future` under :class:`~repro.serve.batcher.MicroBatcher`);
+    the shared code touches only ``done`` / ``set_result`` /
+    ``set_exception``.
     """
 
     patterns: np.ndarray  # (rows, in) uint32
@@ -120,8 +104,8 @@ class SchedulerPolicy:
     """Every micro-batching *decision*, transport-free.
 
     Owns the knobs (validated once, at construction) and the adaptive
-    coalescing estimator; the bindings ask it what to do and keep only
-    the plumbing (queues, futures, threads vs tasks) to themselves.
+    coalescing estimator; the binding asks it what to do and keeps only
+    the plumbing (queue, futures, worker task) to itself.
     """
 
     def __init__(
@@ -251,8 +235,7 @@ def predict_in_slices(
     """Predict a stacked matrix in ``cap``-row slices (kernel-side body).
 
     The injection point fires here, inside the error boundary, so an
-    armed fault behaves exactly like a kernel failure on every
-    transport.
+    armed fault behaves exactly like a kernel failure.
     """
     faults.fire(POINT_BATCH, model=model.key, rows=int(stacked.shape[0]))
     faults.fire(POINT_WORKER, phase="batch", model=model.key,
@@ -273,259 +256,3 @@ def predict_in_slices(
 
 
 _CLOSE = object()  # queue sentinel; FIFO order makes it drain-then-exit
-
-
-class ThreadBatcher:
-    """The thread transport: one worker thread per served model.
-
-    Mirrors :class:`~repro.serve.batcher.MicroBatcher` decision for
-    decision (both delegate to :class:`SchedulerPolicy`), but runs on a
-    plain daemon thread over a bounded :class:`queue.Queue` and resolves
-    :class:`concurrent.futures.Future` results — no event loop anywhere.
-    Kernel execution happens on the worker thread itself (the
-    thread-local scratch pools make that safe), which is exactly what a
-    pool worker process wants: batching without asyncio.
-    """
-
-    def __init__(
-        self,
-        model,
-        *,
-        max_batch: int = 32,
-        max_delay_ms: float = 2.0,
-        queue_limit: int = 256,
-        stats: ServeStats | None = None,
-        adaptive_delay: bool = True,
-        shed_threshold: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        self.policy = SchedulerPolicy(
-            max_batch=max_batch,
-            max_delay_ms=max_delay_ms,
-            queue_limit=queue_limit,
-            adaptive_delay=adaptive_delay,
-            shed_threshold=shed_threshold,
-        )
-        self.model = model
-        self.stats = stats if stats is not None else ServeStats()
-        self.generation = 1  # bumped by swap_model (observability only)
-        self._clock = clock
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_limit)
-        self._thread: threading.Thread | None = None
-        self._closing = False
-        self._lock = threading.Lock()  # submit-side state (EWMA, start)
-
-    # -- knob mirrors (same surface as MicroBatcher) --------------------
-    @property
-    def max_batch(self) -> int:
-        return self.policy.max_batch
-
-    @property
-    def max_delay(self) -> float:
-        return self.policy.max_delay
-
-    @property
-    def queue_limit(self) -> int:
-        return self.policy.queue_limit
-
-    @property
-    def adaptive_delay(self) -> bool:
-        return self.policy.adaptive_delay
-
-    @property
-    def shed_threshold(self) -> float | None:
-        return self.policy.shed_threshold
-
-    @property
-    def effective_delay(self) -> float:
-        return self.policy.effective_delay
-
-    @property
-    def effective_delay_ms(self) -> float:
-        return self.policy.effective_delay * 1000.0
-
-    @property
-    def pending(self) -> int:
-        """Requests currently queued (excludes the in-flight batch)."""
-        return self._queue.qsize()
-
-    @property
-    def shedding(self) -> bool:
-        return self.policy.should_shed(self._queue.qsize())
-
-    @property
-    def saturated(self) -> bool:
-        return self._queue.qsize() >= self.policy.queue_limit
-
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Start the worker thread (idempotent)."""
-        with self._lock:
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._run,
-                    name=f"repro-batcher-{self.model.key}",
-                    daemon=True,
-                )
-                self._thread.start()
-
-    def submit_async(self, patterns, deadline: float | None = None) -> Future:
-        """Enqueue ``(rows, in)`` patterns; a Future of the predictions.
-
-        Same contract as the asyncio binding's ``submit``: blocks when
-        the bounded queue is full (backpressure), raises
-        :class:`ServiceClosed` once shutdown has begun and
-        :class:`QueueSaturated` when load shedding is active; a
-        ``deadline`` (absolute ``clock()`` time) expires unexecuted.
-        """
-        if self._closing:
-            raise ServiceClosed(f"batcher for {self.model.key} is shut down")
-        if self.policy.should_shed(self._queue.qsize()):
-            self.stats.record_shed()
-            raise QueueSaturated(
-                f"queue for {self.model.key} is saturated "
-                f"({self._queue.qsize()}/{self.policy.queue_limit}); "
-                "shedding load"
-            )
-        patterns = self.policy.validate_patterns(patterns)
-        self.start()
-        now = self._clock()
-        with self._lock:
-            self.policy.observe_arrival(now)
-        item = PendingRequest(patterns, patterns.shape[0], Future(),
-                              now, deadline)
-        self._queue.put(item)
-        return item.future
-
-    def submit(
-        self,
-        patterns,
-        deadline: float | None = None,
-        timeout: float | None = None,
-    ) -> np.ndarray:
-        """Blocking ``submit_async`` (the common embedded-caller path)."""
-        return self.submit_async(patterns, deadline).result(timeout)
-
-    def close(self) -> None:
-        """Stop accepting requests, drain everything queued, then exit.
-
-        FIFO makes draining trivial: the sentinel is enqueued after the
-        last accepted request, so by the time the worker sees it every
-        pending batch has been executed and answered.
-        """
-        join = False
-        with self._lock:
-            if not self._closing:
-                self._closing = True
-                self._queue.put(_CLOSE)
-            join = self._thread is not None
-        if join:
-            self._thread.join()
-
-    def swap_model(self, model) -> int:
-        """Atomically replace the served model (hot-swap, same key)."""
-        if model.key != self.model.key:
-            raise ValueError(
-                f"cannot swap {self.model.key} to {model.key}: "
-                "a batcher serves exactly one (dataset, format) key"
-            )
-        self.model = model
-        self.generation += 1
-        return self.generation
-
-    # ------------------------------------------------------------------
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _CLOSE:
-                return
-            batch = [item]
-            rows = item.rows
-            saw_close = False
-            deadline = self._clock() + self.policy.effective_delay
-            while rows < self.policy.max_batch:
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    # Deadline hit: still coalesce the backlog without
-                    # waiting — a same-tick burst batches fully even
-                    # when the window is microseconds.
-                    while rows < self.policy.max_batch:
-                        try:
-                            nxt = self._queue.get_nowait()
-                        except queue.Empty:
-                            break
-                        if nxt is _CLOSE:
-                            saw_close = True
-                            break
-                        batch.append(nxt)
-                        rows += nxt.rows
-                    break
-                try:
-                    nxt = self._queue.get(timeout=remaining)
-                except queue.Empty:
-                    continue  # drain-then-flush via the deadline branch
-                if nxt is _CLOSE:
-                    saw_close = True
-                    break
-                batch.append(nxt)
-                rows += nxt.rows
-            self._execute(batch)
-            if saw_close:
-                return
-
-    def _execute(self, batch: list[PendingRequest]) -> None:
-        batch, expired = self.policy.split_expired(batch, self._clock())
-        now = self._clock()
-        for item in expired:
-            self.stats.record_deadline_expired()
-            if not item.future.done():
-                item.future.set_exception(self.policy.expiry_error(item, now))
-        if not batch:
-            return
-        model = self.model  # read once per batch (swap atomicity)
-        try:
-            predictions, sizes = predict_in_slices(
-                model, stack_batch(batch), self.policy.max_batch
-            )
-        except Exception as exc:
-            if len(batch) == 1:
-                # A lone request's failure is its own: propagate it.
-                self.stats.record_error()
-                exc._repro_counted = True
-                if not batch[0].future.done():
-                    batch[0].future.set_exception(exc)
-                return
-            # Poison isolation: one bad request (or one transient fault)
-            # must not fail its batchmates — re-execute each alone.
-            self.stats.record_batch_retry()
-            self._execute_singly(batch, model)
-            return
-        self._resolve(batch, predictions, sizes)
-
-    def _execute_singly(self, batch: list[PendingRequest], model) -> None:
-        for item in batch:
-            try:
-                predictions, sizes = predict_in_slices(
-                    model, item.patterns, self.policy.max_batch
-                )
-            except Exception as exc:  # this request really is the poison
-                self.stats.record_error()
-                exc._repro_counted = True
-                if not item.future.done():
-                    item.future.set_exception(exc)
-                continue
-            self._resolve([item], predictions, sizes)
-
-    def _resolve(self, batch, predictions, sizes) -> None:
-        for size in sizes:
-            self.stats.record_batch(self.model.key, size)
-        offset = 0
-        now = self._clock()
-        for item in batch:
-            result = predictions[offset:offset + item.rows]
-            offset += item.rows
-            if not item.future.done():  # caller cancelled/timed out: the
-                item.future.set_result(result)  # request was unanswered,
-                self.stats.record_request(  # so it must not count as one
-                    item.rows, (now - item.enqueued) * 1000.0
-                )

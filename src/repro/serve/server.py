@@ -570,6 +570,9 @@ class InferenceServer:
             inputs = np.asarray(raw, dtype=np.float64)
         except (TypeError, ValueError):
             raise _HttpError(400, "'inputs' must be a numeric array") from None
+        if not np.isfinite(inputs).all():
+            # json.loads accepts NaN and Infinity; the quantizer does not.
+            raise _HttpError(400, "'inputs' must be finite numbers")
         if inputs.ndim == 1:
             inputs = inputs[None, :]
         if inputs.ndim != 2 or inputs.shape[0] == 0:

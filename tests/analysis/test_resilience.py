@@ -248,6 +248,39 @@ class TestStoreSelfHeal:
                     loaded_arrays[name], arrays[name]
                 )
 
+    def test_every_model_byte_flip_heals_or_loads_intact(self, tmp_path):
+        """Flip each byte of the artifact in turn, central directory
+        included: every load either heals or returns the saved payload."""
+        store = ArtifactStore(tmp_path)
+        key, arrays, meta = _tiny_model_artifact(store)
+        path = store.model_path(key)
+        blob = path.read_bytes()
+        for offset in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[offset] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            loaded = store.load_model(key)
+            if loaded is None:
+                assert not path.exists(), offset
+                continue
+            loaded_arrays, loaded_meta = loaded
+            assert loaded_meta == meta, offset
+            assert sorted(loaded_arrays) == sorted(arrays), offset
+            for name in arrays:
+                np.testing.assert_array_equal(
+                    loaded_arrays[name], arrays[name], err_msg=str(offset)
+                )
+
+    def test_result_edited_to_other_valid_json_heals(self, tmp_path):
+        """A result that still parses but no longer matches its digest is
+        deleted, not returned."""
+        store = ArtifactStore(tmp_path)
+        store.save_result("task", {"accuracy": [0.25, 0.75]})
+        path = store.result_path("task")
+        path.write_text(path.read_text().replace("0.75", "0.95"))
+        assert store.load_result("task") is None
+        assert not path.exists()
+
     @settings(max_examples=25, deadline=None)
     @given(frac=st.floats(0.0, 0.98), flip=st.booleans())
     def test_result_json_truncation_and_corruption_heal(

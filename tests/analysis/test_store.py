@@ -253,4 +253,6 @@ class TestStoreRecovery:
         value = {"acc": 0.98, "all": [{"label": "posit<8,1>"}]}
         store.save_result("k", value)
         assert store.load_result("k") == value
-        assert json.load(store.result_path("k").open()) == value
+        record = json.load(store.result_path("k").open())
+        assert record["value"] == value  # plain JSON beside its digest
+        assert len(record["sha256"]) == 64

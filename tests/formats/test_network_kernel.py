@@ -8,8 +8,12 @@ round table against ``encode_from_quire_words`` over the whole single-word
 window, its O(1) bucket index against plain ``searchsorted``, and the
 pattern-space ReLU composition against ``engine.relu`` on every valid
 pattern.  Shape edges (empty batches, single rows, fan-in 1) are covered
-per forced path.
+per forced path.  The default plan's path per layer is a fixed rule, the
+same in every process.
 """
+
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -25,7 +29,6 @@ from repro.formats.network import (
     NETWORK_PATHS,
     NetworkKernel,
     aligned_value_table,
-    exact_product_table,
     round_table,
 )
 from repro.posit.format import standard_format
@@ -87,6 +90,38 @@ def random_network(fmt, rng, topo, batch, rounding_mode="rne"):
     return layers, X, net
 
 
+def maxpos_layer(backend, in_dim, out_dim):
+    """A ReLU layer whose every weight is maxpos (no bias)."""
+    maxpos = backend.quantize_batch(np.asarray([1e30]))[0]
+    return np.full((out_dim, in_dim), maxpos, dtype=np.uint32), None, "relu"
+
+
+def narrow_layer(backend, rng, in_dim, out_dim):
+    """A ReLU layer of weights and biases quantized from [-1, 1]."""
+    W = backend.quantize_batch(rng.uniform(-1, 1, size=(out_dim, in_dim)))
+    B = backend.quantize_batch(rng.uniform(-1, 1, size=out_dim))
+    return W, B, "relu"
+
+
+#: The nine served Table II deployments: each dataset's best 8-bit config
+#: per format family.
+TABLE2_DEPLOYMENTS = (
+    ("wbc", "posit8_1"), ("iris", "posit8_1"), ("mushroom", "posit8_1"),
+    ("wbc", "float3_4"), ("iris", "float3_4"), ("mushroom", "float2_5"),
+    ("wbc", "fixed8_4"), ("iris", "fixed8_4"), ("mushroom", "fixed8_3"),
+)
+
+
+def deployment_plans():
+    """``explain()`` of every Table II deployment's served plan."""
+    from repro.serve.registry import build_served_model
+
+    return [
+        build_served_model(dataset, fmt).network.network_kernel().explain()
+        for dataset, fmt in TABLE2_DEPLOYMENTS
+    ]
+
+
 def forced_plans(backend, layers, rounding_mode):
     """Every constructible (path, plan) plus the unforced default plan."""
     plans = [(None, backend.compile_network(layers, rounding_mode=rounding_mode))]
@@ -95,8 +130,9 @@ def forced_plans(backend, layers, rounding_mode):
             plans.append(
                 (
                     path,
-                    backend.compile_network(
-                        layers, rounding_mode=rounding_mode, force_path=path
+                    NetworkKernel(
+                        backend, layers, rounding_mode=rounding_mode,
+                        force_path=path,
                     ),
                 )
             )
@@ -147,7 +183,7 @@ class TestRoundTable:
             )
 
     def test_exact_tables_are_exact(self, table_fmt):
-        """Aligned values and the product table agree with the decode tables."""
+        """Aligned values agree with the decode tables."""
         backend = formats.backend_for(table_fmt)
         t = backend.limb_tables()
         valid = np.flatnonzero(~t.invalid)
@@ -158,15 +194,6 @@ class TestRoundTable:
             )
             dec = backend.decode_batch(valid.astype(np.uint32))
             assert np.array_equal(np.sign(avals[valid]), np.sign(dec))
-        products = exact_product_table(backend)
-        if products is not None:
-            assert products.shape == (1 << table_fmt.n, 1 << table_fmt.n)
-            assert products.dtype == np.int64
-            assert np.array_equal(products, products.T)
-            assert np.array_equal(
-                products[valid][:, valid],
-                avals[valid][:, None] * avals[valid][None, :],
-            )
 
 
 class TestFusedBitIdentity:
@@ -272,14 +299,14 @@ class TestFusedBitIdentity:
 class TestPlanCompile:
     def test_force_path_rejects_ineligible(self):
         """Forcing a path a layer cannot take raises, never silently falls back."""
-        fmt = standard_format(8, 2)  # product range overflows int64
-        backend = formats.backend_for(fmt)
-        rng = np.random.default_rng(9)
-        layers, _, _ = random_network(fmt, rng, (3, 2), 1)
-        with pytest.raises(ValueError, match="not eligible"):
-            backend.compile_network(layers, force_path="product")
-        with pytest.raises(ValueError, match="force_path"):
-            backend.compile_network(layers, force_path="warp")
+        backend = formats.backend_for(standard_format(8, 2))
+        layers = [maxpos_layer(backend, 3, 2)]  # quire bound past int64
+        for path in ("plane", "int64"):
+            with pytest.raises(ValueError, match="not eligible"):
+                NetworkKernel(backend, layers, force_path=path)
+        for path in ("product", "warp"):
+            with pytest.raises(ValueError, match="force_path"):
+                NetworkKernel(backend, layers, force_path=path)
 
     def test_validates_network_inputs_once(self, table_fmt):
         """Invalid input patterns are rejected at the network boundary."""
@@ -329,3 +356,45 @@ class TestPlanCompile:
             NetworkKernel(backend, layers, layer_kernels=[None])
         with pytest.raises(ValueError, match="at least one layer"):
             NetworkKernel(backend, [])
+
+
+class TestFixedRule:
+    """Without ``force_path``, each layer's path is a fixed function of it."""
+
+    def test_wide_fan_in_takes_plane(self):
+        backend = formats.get("posit8_1")
+        layer = narrow_layer(backend, np.random.default_rng(21), 117, 24)
+        (row,) = backend.compile_network([layer]).explain()
+        assert row["eligible"] == ["plane", "int64", "layer"]
+        assert row["path"] == "plane"
+
+    # posit<8,2> is left out: its maxpos activations overflow the
+    # single-word quire at any fan-in, so it always takes ``layer``.
+    @pytest.mark.parametrize("fan_in", [1, 4, 30])
+    @pytest.mark.parametrize(
+        "name", ["posit6_0", "posit8_0", "posit8_1", "float4_3", "float3_4",
+                 "float2_5"],
+    )
+    def test_narrow_fan_in_takes_int64(self, name, fan_in):
+        backend = formats.get(name)
+        layer = narrow_layer(backend, np.random.default_rng(fan_in), fan_in, 8)
+        (row,) = backend.compile_network([layer]).explain()
+        assert "plane" in row["eligible"]
+        assert row["path"] == "int64"
+
+    def test_maxpos_heavy_posit8_2_takes_layer(self):
+        backend = formats.get("posit8_2")
+        (row,) = backend.compile_network([maxpos_layer(backend, 4, 3)]).explain()
+        assert row["eligible"] == ["layer"]
+        assert row["path"] == "layer"
+
+    def test_explain_identical_across_processes(self, tmp_path, monkeypatch):
+        """Two fresh interpreters build the same nine Table II plans."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        spawn = multiprocessing.get_context("spawn")
+        reports = []
+        for _ in range(2):
+            with ProcessPoolExecutor(1, mp_context=spawn) as pool:
+                reports.append(pool.submit(deployment_plans).result(300))
+        assert len(reports[0]) == len(TABLE2_DEPLOYMENTS)
+        assert reports[0] == reports[1]

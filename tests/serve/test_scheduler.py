@@ -1,21 +1,18 @@
-"""The asyncio and thread bindings share one scheduling brain.
+"""The micro-batch scheduler: its policy, and the binding's contract.
 
 ``SchedulerPolicy`` owns every batching decision (coalescing window,
-adaptive delay, shed threshold, deadline expiry); the two bindings —
-asyncio :class:`MicroBatcher` and thread :class:`ThreadBatcher` — are
-thin transports around it.  These tests run the *same* workloads through
-both via a small driver abstraction and assert identical observable
-behavior: batch-size histograms, shed decisions, deadline expiries,
-shutdown semantics, and (always) bit-identity to direct ``predict``.
-A divergence here means a binding grew its own policy — the exact bug
-the scheduler split exists to prevent.
+adaptive delay, shed threshold, deadline expiry) and is tested here with
+no transport at all.  The asyncio :class:`MicroBatcher` is a thin
+binding around it; the contract suite runs workloads through it via a
+small driver and asserts the observable behavior: batch-size
+histograms, shed decisions, deadline expiries, shutdown semantics, and
+(always) bit-identity to direct ``predict``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,18 +24,15 @@ from repro.serve.scheduler import (
     QueueSaturated,
     SchedulerPolicy,
     ServiceClosed,
-    ThreadBatcher,
 )
 from repro.serve.stats import ServeStats
 
-from .conftest import tiny_loader
 from .test_batcher import toy_model
 
 
 class _GatedNetwork:
-    """Blocks every forward until released (works under both bindings:
-    the asyncio binding runs forwards on executor *threads*, the thread
-    binding inline on its worker thread)."""
+    """Blocks every forward until released (the batcher runs forwards on
+    executor threads)."""
 
     def __init__(self):
         self.release = threading.Event()
@@ -55,11 +49,9 @@ def _gated_model():
 
 
 # ----------------------------------------------------------------------
-# Drivers: one workload definition, two transports
+# Driver: each workload definition run through the asyncio binding
 # ----------------------------------------------------------------------
 class _AsyncioDriver:
-    name = "asyncio"
-
     def burst(self, model, patterns_list, stats=None, **knobs):
         """Enqueue every request before any batch executes; return the
         per-request outcomes (result array or exception)."""
@@ -170,93 +162,17 @@ async def _await_gated(model, timeout_s: float = 5.0):
     assert model.network.calls >= 1
 
 
-class _ThreadDriver:
-    name = "thread"
-
-    def burst(self, model, patterns_list, stats=None, **knobs):
-        batcher = ThreadBatcher(model, stats=stats, **knobs)
-        futures = [batcher.submit_async(p) for p in patterns_list]
-        batcher.close()  # sentinel after the last request: full drain
-        outcomes = []
-        for future in futures:
-            try:
-                outcomes.append(future.result(timeout=30.0))
-            except Exception as exc:  # noqa: BLE001 - recorded
-                outcomes.append(exc)
-        return outcomes
-
-    def shed(self, model, patterns, **knobs):
-        batcher = ThreadBatcher(model, **knobs)
-        first = batcher.submit_async(patterns)
-        _wait_gated(model)
-        late = []
-        for _ in range(4):
-            try:
-                late.append(batcher.submit_async(patterns))
-            except QueueSaturated as exc:
-                late.append(exc)
-        model.network.release.set()
-        results = []
-        for item in late:
-            if isinstance(item, Exception):
-                results.append(item)
-                continue
-            try:
-                results.append(item.result(timeout=30.0))
-            except Exception as exc:  # noqa: BLE001 - recorded
-                results.append(exc)
-        first.result(timeout=30.0)
-        batcher.close()
-        return results
-
-    def expire(self, model, patterns, deadline_s, **knobs):
-        batcher = ThreadBatcher(model, **knobs)
-        first = batcher.submit_async(patterns)
-        _wait_gated(model)
-        doomed = batcher.submit_async(
-            patterns, deadline=time.monotonic() + deadline_s
-        )
-        time.sleep(deadline_s * 4)
-        model.network.release.set()
-        try:
-            outcome = doomed.result(timeout=30.0)
-        except Exception as exc:  # noqa: BLE001 - recorded
-            outcome = exc
-        first.result(timeout=30.0)
-        batcher.close()
-        return outcome
-
-    def closed_submit(self, model, patterns, **knobs):
-        batcher = ThreadBatcher(model, **knobs)
-        batcher.submit(patterns, timeout=30.0)
-        batcher.close()
-        try:
-            batcher.submit_async(patterns)
-        except Exception as exc:  # noqa: BLE001 - recorded
-            return exc
-        return None
-
-
-def _wait_gated(model, timeout_s: float = 5.0):
-    deadline = time.monotonic() + timeout_s
-    while model.network.calls < 1 and time.monotonic() < deadline:
-        time.sleep(0.005)
-    assert model.network.calls >= 1
-
-
-@pytest.fixture(params=[_AsyncioDriver(), _ThreadDriver()],
-                ids=["asyncio", "thread"])
+@pytest.fixture(params=[_AsyncioDriver()], ids=["asyncio"])
 def driver(request):
     return request.param
 
 
 # ----------------------------------------------------------------------
-# The shared contract, asserted per binding
+# The binding's contract
 # ----------------------------------------------------------------------
 class TestBindingContract:
     def test_burst_coalesces_identically(self, driver, toy_inputs):
-        """19 one-row requests at max_batch=8 -> batches of 8, 8, 3 under
-        *either* transport."""
+        """19 one-row requests at max_batch=8 -> batches of 8, 8, 3."""
         model = toy_model()
         stats = ServeStats()
         inputs = [toy_inputs(1) for _ in range(19)]
@@ -338,40 +254,6 @@ class TestBindingContract:
             )
 
 
-class TestCrossBindingEquivalence:
-    """Run the identical workload through both transports and diff the
-    *observable schedule*, not just the answers."""
-
-    def test_same_workload_same_histogram_same_bits(self, toy_inputs):
-        model = toy_model()
-        inputs = [toy_inputs(n) for n in (1, 2, 1, 5, 1, 1, 3, 1, 1, 2)]
-        patterns = [model.quantize(x) for x in inputs]
-        knobs = dict(max_batch=4, max_delay_ms=10_000.0)
-        per_binding = {}
-        for drv in (_AsyncioDriver(), _ThreadDriver()):
-            stats = ServeStats()
-            results = drv.burst(model, patterns, stats=stats, **knobs)
-            per_binding[drv.name] = (dict(stats.batch_sizes), results)
-        hist_a, results_a = per_binding["asyncio"]
-        hist_t, results_t = per_binding["thread"]
-        assert hist_a == hist_t
-        for got_a, got_t in zip(results_a, results_t):
-            np.testing.assert_array_equal(got_a, got_t)
-
-    def test_stats_counters_agree(self, toy_inputs):
-        model = toy_model()
-        patterns = [model.quantize(toy_inputs(2)) for _ in range(5)]
-        snapshots = {}
-        for drv in (_AsyncioDriver(), _ThreadDriver()):
-            stats = ServeStats()
-            drv.burst(model, patterns, stats=stats,
-                      max_batch=10, max_delay_ms=10_000.0)
-            snap = stats.snapshot()
-            snap["latency_ms"] = None  # wall-clock: the one allowed diff
-            snapshots[drv.name] = snap
-        assert snapshots["asyncio"] == snapshots["thread"]
-
-
 class TestSchedulerPolicy:
     """The shared brain in isolation (no transport at all)."""
 
@@ -434,39 +316,3 @@ class TestSchedulerPolicy:
         policy.observe_arrival(10.3)
         assert policy._arrival_gap_s == pytest.approx(0.125)
 
-
-class TestThreadBatcherSpecifics:
-    """Transport details only the thread binding has."""
-
-    def test_blocking_submit_returns_predictions(self, toy_inputs):
-        model = toy_model()
-        batcher = ThreadBatcher(model, max_batch=4, max_delay_ms=1.0)
-        x = toy_inputs(3)
-        got = batcher.submit(model.quantize(x), timeout=30.0)
-        batcher.close()
-        np.testing.assert_array_equal(got, model.network.predict(x))
-
-    def test_close_is_idempotent_and_joins(self, toy_inputs):
-        model = toy_model()
-        batcher = ThreadBatcher(model, max_batch=4, max_delay_ms=1.0)
-        batcher.submit(model.quantize(toy_inputs(1)), timeout=30.0)
-        batcher.close()
-        batcher.close()
-        with pytest.raises(ServiceClosed):
-            batcher.submit_async(model.quantize(toy_inputs(1)))
-
-    def test_swap_model_same_key_only(self):
-        model = toy_model()
-        batcher = ThreadBatcher(model, max_batch=4, max_delay_ms=1.0)
-        try:
-            other = toy_model("toy2", "float4_3")
-            with pytest.raises(ValueError):
-                batcher.swap_model(other)
-            from repro.serve.registry import build_served_model
-
-            before = batcher.generation
-            replacement = build_served_model("toy", "posit8_1", tiny_loader)
-            assert batcher.swap_model(replacement) == before + 1
-            assert batcher.generation == before + 1
-        finally:
-            batcher.close()

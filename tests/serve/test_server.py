@@ -130,6 +130,24 @@ class TestErrorPaths:
             )
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("fmt", ["posit8_1", "float3_4", "fixed8_4"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_inputs_400_not_counted_as_errors(
+        self, client, fmt, bad
+    ):
+        """NaN / Infinity parse as JSON but are client errors, not 500s."""
+        errors = client.stats()["errors"]
+        with pytest.raises(ServeError) as err:
+            client._request(
+                "POST",
+                "/predict",
+                {"dataset": "toy", "format": fmt,
+                 "inputs": [[0.5, bad, 1.0, -1.0]]},
+            )
+        assert err.value.status == 400
+        assert "finite" in err.value.message
+        assert client.stats()["errors"] == errors
+
     @pytest.mark.parametrize("length", ["abc", "-5"])
     def test_malformed_content_length_gets_400(self, handle, length):
         import socket
