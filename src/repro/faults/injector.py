@@ -53,11 +53,13 @@ manager's ``trace`` argument) — appended as a JSON line to that file.
 The trace file is also how ``times`` stays bounded *across processes*: a
 pool worker that killed itself cannot decrement an in-memory counter, so
 the count of fires for a rule is recovered from the trace before firing
-again.  See ``docs/fault-tolerance.md`` for the harness guide.
+again, under an exclusive ``flock`` on the trace file held until the new
+fire is appended.  See ``docs/fault-tolerance.md`` for the harness guide.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import random
@@ -67,7 +69,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterator, TextIO
 
 __all__ = [
     "InjectedFault",
@@ -272,8 +274,29 @@ class FaultInjector:
                 pass
         return count
 
+    @contextmanager
+    def _trace_locked(self) -> Iterator[TextIO | None]:
+        """The trace file, opened for appending under an exclusive
+        ``flock`` (``None`` without a trace path).
+
+        Held across a ``times`` budget check and the append that spends
+        it: processes sharing the trace then see each other's fires, so
+        two pool workers hitting a point together cannot both take the
+        last fire.
+        """
+        if not self.trace_path:
+            yield None
+            return
+        with open(self.trace_path, "a") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX)  # released on close
+            yield handle
+
     def decide(self, point: str, context: dict[str, Any]) -> tuple[FaultRule, str] | None:
-        """The first rule that should fire at this hit, if any."""
+        """The first rule that fires at this hit, if any.
+
+        A fire is logged before it is returned, under the same trace lock
+        as its ``times`` check.
+        """
         text = _render_context(context)
         with self._lock:
             for index, rule in enumerate(self.plan.rules):
@@ -288,32 +311,33 @@ class FaultInjector:
                     continue
                 if (hits - rule.after - 1) % rule.every != 0:
                     continue
-                if rule.times and self._fired_everywhere(rule_id) >= rule.times:
-                    continue
-                if rule.p < 1.0:
-                    rng = self._rngs.setdefault(
-                        rule_id, random.Random(rule.seed)
-                    )
-                    if rng.random() >= rule.p:
+                with self._trace_locked() as trace:
+                    if (rule.times
+                            and self._fired_everywhere(rule_id) >= rule.times):
                         continue
-                self._fired[rule_id] = self._fired.get(rule_id, 0) + 1
-                return rule, rule_id
+                    if rule.p < 1.0:
+                        rng = self._rngs.setdefault(
+                            rule_id, random.Random(rule.seed)
+                        )
+                        if rng.random() >= rule.p:
+                            continue
+                    self._fired[rule_id] = self._fired.get(rule_id, 0) + 1
+                    self._log(rule_id, rule, text, trace)
+                    return rule, rule_id
         return None
 
-    def log(self, rule_id: str, rule: FaultRule, context: dict[str, Any]) -> FaultEvent:
+    def _log(self, rule_id: str, rule: FaultRule, context: str,
+             trace: TextIO | None) -> FaultEvent:
         """Record a fire — durably *before* the action runs, so even an
         ``os._exit`` leaves evidence in the trace file."""
         event = FaultEvent(
             seq=len(self.events), pid=os.getpid(), point=rule.point,
-            action=rule.action, rule=rule_id,
-            context=_render_context(context),
+            action=rule.action, rule=rule_id, context=context,
         )
         self.events.append(event)
-        if self.trace_path:
-            line = json.dumps(event.as_dict())
-            with open(self.trace_path, "a") as handle:
-                handle.write(line + "\n")
-                handle.flush()
+        if trace is not None:
+            trace.write(json.dumps(event.as_dict()) + "\n")
+            trace.flush()
         return event
 
 
@@ -429,6 +453,5 @@ def fire(point: str, **context: Any) -> None:
     decision = injector.decide(point, context)
     if decision is None:
         return
-    rule, rule_id = decision
-    injector.log(rule_id, rule, context)
+    rule, _ = decision
     _perform(rule, point, context)

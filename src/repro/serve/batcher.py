@@ -18,8 +18,11 @@ concurrent single requests into kernel-sized batches:
   inter-arrival gap of submits, waits roughly the expected time to fill a
   batch when traffic is dense, and decays toward an immediate flush when
   the gap grows past the window (sparse traffic gains no batchmates by
-  waiting, so it should not pay the latency).  Timing only — no setting
-  of the knob can change any served bit;
+  waiting, so it should not pay the latency).  A sparse window under
+  1 ms is 0: the event loop cannot sleep for less, so the request flushes
+  at once, and the zero-sleep drain below still coalesces a same-tick
+  burst.  Timing only — no setting of the knob can change any served
+  bit;
 * the stacked pattern matrix is executed through
   :meth:`~repro.core.positron.PositronNetwork.predict_patterns` on an
   executor thread, in slices of at most ``max_batch`` rows (a multi-row

@@ -108,6 +108,13 @@ class SchedulerPolicy:
     the plumbing (queue, futures, worker task) to itself.
     """
 
+    #: The shortest timed wait worth arming (seconds).  asyncio's epoll
+    #: selector rounds every timeout up to whole milliseconds, so a
+    #: shorter window still sleeps a full 1 ms; and a sparse window under
+    #: it expects at most ``(max_delay / gap) ** 2`` batchmates (0.25 at
+    #: the default 2 ms), which is not worth that sleep.
+    MIN_TIMED_WAIT_S = 1e-3
+
     def __init__(
         self,
         *,
@@ -119,8 +126,8 @@ class SchedulerPolicy:
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
+        if not (math.isfinite(max_delay_ms) and max_delay_ms >= 0):
+            raise ValueError("max_delay_ms must be a finite number >= 0")
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if shed_threshold is not None and not 0.0 < shed_threshold <= 1.0:
@@ -167,11 +174,15 @@ class SchedulerPolicy:
           long before any deadline;
         * sparse traffic (EWMA gap beyond the window): batchmates are
           unlikely inside the window, so the wait decays as
-          ``max_delay * (max_delay / gap)`` toward an immediate flush.
+          ``max_delay * (max_delay / gap)``, and is 0 (an immediate
+          flush) once that falls under :attr:`MIN_TIMED_WAIT_S`: the
+          event loop cannot sleep for less, and so few batchmates are
+          expected that the sleep buys nothing.
 
-        Continuous at ``gap == max_delay`` and always in
-        ``[0, max_delay]``.  This is pure scheduling — it can change when
-        a batch executes, never what it computes.
+        Always in ``[0, max_delay]``.  Continuous at ``gap == max_delay``
+        when ``max_delay`` is at least :attr:`MIN_TIMED_WAIT_S`; below
+        that the sparse branch is 0 throughout.  This is pure scheduling —
+        it can change when a batch executes, never what it computes.
         """
         if not self.adaptive_delay or self._arrival_gap_s is None:
             return self.max_delay
@@ -179,7 +190,8 @@ class SchedulerPolicy:
         if gap >= self.max_delay:
             if gap <= 0.0:  # max_delay == 0 and no observed spacing
                 return 0.0
-            return self.max_delay * (self.max_delay / gap)
+            window = self.max_delay * (self.max_delay / gap)
+            return window if window >= self.MIN_TIMED_WAIT_S else 0.0
         return min(self.max_delay, gap * (self.max_batch - 1))
 
     # -- per-submit decisions -------------------------------------------

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import sys
 import threading
 import time
@@ -120,14 +121,14 @@ class InferenceServer:
         # otherwise only exercised when a batcher is built or a queue fills.
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
+        if not (math.isfinite(max_delay_ms) and max_delay_ms >= 0):
+            raise ValueError("max_delay_ms must be a finite number >= 0")
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if executor_workers < 1:
             raise ValueError("executor_workers must be >= 1")
-        if submit_timeout_s <= 0:
-            raise ValueError("submit_timeout_s must be > 0")
+        if not (math.isfinite(submit_timeout_s) and submit_timeout_s > 0):
+            raise ValueError("submit_timeout_s must be a finite number > 0")
         if canary_every < 0:
             raise ValueError("canary_every must be >= 0")
         if shed_threshold is not None and not 0.0 < shed_threshold <= 1.0:

@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.fixedpoint import fixed_format
 from repro.floatp import float_format
 from repro.posit import standard_format
+
+# Hypothesis profiles, chosen by HYPOTHESIS_PROFILE.  The default replays
+# the same examples on every run, so a red property test reproduces; the
+# slow CI job runs under "random" so exploration continues there.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.register_profile("random", derandomize=False, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomized"))
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,8 @@ pattern) or none of the recovery tests downstream mean anything.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import socket
 import threading
 
@@ -25,6 +27,16 @@ from repro.faults import (
 
 POINT = faults.register_point("test.point", "a point for harness tests")
 OTHER = faults.register_point("test.other", "a second point")
+
+
+def _race_for_one_fire(trace_dir: str, rounds: int, barrier) -> None:
+    """Worker body: each round, hit a ``times=1`` rule on that round's
+    shared trace the moment every process is released together."""
+    for round_index in range(rounds):
+        trace = os.path.join(trace_dir, f"round-{round_index}.jsonl")
+        with faults.inject(POINT, "stall", stall_s=0.0, times=1, trace=trace):
+            barrier.wait(timeout=60.0)
+            faults.fire(POINT)
 
 
 class TestSpecGrammar:
@@ -243,6 +255,31 @@ class TestTrace:
         trace.write_text(json.dumps(foreign) + "\n")
         injector = FaultInjector(plan, trace_path=str(trace))
         assert injector.decide(POINT, {}) is None  # budget already spent
+
+    def test_times_budget_is_atomic_across_processes(self, tmp_path):
+        """More processes than cores hit one ``times=1`` rule at a barrier,
+        round after round: each round's shared trace records exactly one
+        fire (the budget check and the append hold one file lock)."""
+        procs = min(8, 2 * (os.cpu_count() or 1))
+        rounds = 20
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(procs)
+        workers = [
+            ctx.Process(target=_race_for_one_fire,
+                        args=(str(tmp_path), rounds, barrier))
+            for _ in range(procs)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120.0)
+        assert [w.is_alive() for w in workers] == [False] * procs
+        assert [w.exitcode for w in workers] == [0] * procs
+        fires = [
+            len(faults.read_trace(tmp_path / f"round-{i}.jsonl"))
+            for i in range(rounds)
+        ]
+        assert fires == [1] * rounds
 
 
 class TestActions:

@@ -475,8 +475,60 @@ class TestAdaptiveDelay:
         batcher = self._batcher()  # max_delay = 2ms
         batcher._arrival_gap_s = 0.004  # 2x the window
         assert batcher.effective_delay == pytest.approx(0.001)
-        batcher._arrival_gap_s = 0.2  # 100x the window
-        assert batcher.effective_delay == pytest.approx(0.00002)
+        batcher._arrival_gap_s = 0.2  # 100x the window: 0.02 ms < 1 ms
+        assert batcher.effective_delay == 0.0
+
+    def test_sparse_lone_request_arms_no_timed_wait(
+        self, toy_inputs, monkeypatch
+    ):
+        """A sub-millisecond sparse window flushes at once: the worker
+        never arms a timed queue wait (epoll would sleep a full 1 ms)."""
+        model = toy_model()
+        x = toy_inputs(1)
+        timed_waits = []
+        real_wait_for = asyncio.wait_for
+
+        def spy(awaitable, timeout):
+            timed_waits.append(timeout)
+            return real_wait_for(awaitable, timeout)
+
+        monkeypatch.setattr(asyncio, "wait_for", spy)
+
+        async def scenario():
+            batcher = self._batcher()  # max_delay = 2ms
+            batcher._arrival_gap_s = 0.005  # window 0.8 ms
+            result = await batcher.submit(model.quantize(x))
+            await batcher.close()
+            return result
+
+        np.testing.assert_array_equal(
+            asyncio.run(scenario()), model.network.predict(x)
+        )
+        assert timed_waits == []
+
+    def test_sparse_same_tick_burst_still_coalesces(self, toy_inputs):
+        """The zero window still drains a burst that arrived in the same
+        tick: five 1-row submits run as one batch of 5."""
+        model = toy_model()
+        inputs = [toy_inputs(1) for _ in range(5)]
+
+        async def scenario():
+            stats = ServeStats()
+            batcher = self._batcher(stats=stats)
+            # Sparse enough that the burst's own zero gaps leave the
+            # window under 1 ms (gap 0.2 s * 0.75**4 = 63 ms: 0.06 ms).
+            batcher._arrival_gap_s = 0.2
+            results = await _submit_burst(
+                batcher, [model.quantize(x) for x in inputs]
+            )
+            assert batcher.effective_delay == 0.0
+            await batcher.close()
+            return results, stats
+
+        results, stats = asyncio.run(scenario())
+        assert dict(stats.batch_sizes) == {5: 1}
+        for x, got in zip(inputs, results):
+            np.testing.assert_array_equal(got, model.network.predict(x))
 
     def test_continuous_at_the_window_boundary(self):
         batcher = self._batcher()

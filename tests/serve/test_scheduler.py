@@ -260,8 +260,9 @@ class TestSchedulerPolicy:
     def test_knob_validation(self):
         with pytest.raises(ValueError):
             SchedulerPolicy(max_batch=0)
-        with pytest.raises(ValueError):
-            SchedulerPolicy(max_delay_ms=-1.0)
+        for bad_delay in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SchedulerPolicy(max_delay_ms=bad_delay)
         with pytest.raises(ValueError):
             SchedulerPolicy(queue_limit=0)
         with pytest.raises(ValueError):
@@ -306,6 +307,32 @@ class TestSchedulerPolicy:
         off = SchedulerPolicy(max_delay_ms=2.0, adaptive_delay=False)
         off._arrival_gap_s = 1e-6
         assert off.effective_delay == pytest.approx(0.002)
+
+    @pytest.mark.parametrize(
+        "gap_s, expected_s",
+        [
+            (0.2, 0.0),  # window 0.02 ms: under the floor, flush at once
+            (0.005, 0.0),  # window 0.8 ms: still under the floor
+            (0.004, 0.001),  # window exactly 1 ms: kept
+            (0.003, 0.002 * (0.002 / 0.003)),  # window 1.33 ms: kept
+        ],
+    )
+    def test_sparse_window_under_one_ms_flushes_at_once(
+        self, gap_s, expected_s
+    ):
+        policy = SchedulerPolicy(max_batch=8, max_delay_ms=2.0)
+        policy._arrival_gap_s = gap_s
+        assert policy.effective_delay == pytest.approx(expected_s)
+
+    def test_sub_ms_max_delay_never_waits_on_sparse_traffic(self):
+        policy = SchedulerPolicy(max_batch=8, max_delay_ms=0.5)
+        for gap_s in (0.0005, 0.0006, 0.001, 0.01, 1.0, 1e3):
+            policy._arrival_gap_s = gap_s
+            assert policy.effective_delay == 0.0
+        # Cold start and dense traffic keep their windows below 1 ms too.
+        assert SchedulerPolicy(max_delay_ms=0.5).effective_delay == 0.0005
+        policy._arrival_gap_s = 0.00005  # fill time 0.35 ms < 0.5 ms cap
+        assert policy.effective_delay == pytest.approx(0.00035)
 
     def test_ewma_observes_arrivals(self):
         policy = SchedulerPolicy()

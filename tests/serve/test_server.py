@@ -187,9 +187,13 @@ class TestConstruction:
         [
             {"max_batch": 0},
             {"max_delay_ms": -1.0},
+            {"max_delay_ms": float("nan")},
+            {"max_delay_ms": float("inf")},
             {"queue_limit": 0},
             {"executor_workers": 0},
             {"submit_timeout_s": 0.0},
+            {"submit_timeout_s": float("nan")},
+            {"submit_timeout_s": float("inf")},
         ],
     )
     def test_bad_knobs_rejected_at_startup(self, kwargs):
