@@ -5,14 +5,13 @@ speedup of the limb-vectorized engine over the scalar soft-core models
 (what makes the Table II sweeps tractable).
 
 The ``network-inference`` group measures a full mushroom-sized posit8
-network forward through the compiled layer kernels against the retained
-PR 1 engine path (``dot_reference``); the ``network-fused`` group measures
-the same forward through the fused whole-network plan
-(``PositronNetwork.network_kernel()``), asserting bit-identity to the
-per-layer kernels, ``dot_reference``, and the scalar EMAC oracle in-run.
-``check_engine_regression.py`` guards CI against either speedup (compiled
-vs PR 1, fused vs compiled) regressing versus the committed
-``engine_baseline.json`` entries.
+network forward on the retained PR 1 engine path (``dot_reference``); the
+``network-fused`` group measures the same forward through the fused
+whole-network plan (``PositronNetwork.network_kernel()``), the one
+production path, asserting bit-identity to ``dot_reference`` and the
+scalar EMAC oracle in-run.  ``check_engine_regression.py`` guards CI
+against the fused-over-PR 1 speedup, measured in one run, regressing
+versus its floor and the committed ``engine_baseline.json`` entry.
 """
 
 import numpy as np
@@ -109,35 +108,19 @@ def _pr1_forward(net, X):
     return out
 
 
-@pytest.mark.benchmark(group="network-inference")
-def test_network_inference_compiled(benchmark, posit8_network):
-    """Full-network exact inference through the compiled per-layer kernels
-    (``forward_patterns_layers`` — the PR 3/5 path the fused plan is
-    measured against)."""
-    net, X = posit8_network
-    result = benchmark(net.forward_patterns_layers, X)
-    assert result.shape == (NETWORK_BATCH, NETWORK_TOPOLOGY[-1])
-    assert np.array_equal(result, _pr1_forward(net, X))  # bit-identical
-    macs = NETWORK_BATCH * sum(
-        i * o for i, o in zip(NETWORK_TOPOLOGY, NETWORK_TOPOLOGY[1:])
-    )
-    benchmark.extra_info["exact_macs_per_round"] = macs
-
-
 @pytest.mark.benchmark(group="network-fused")
 def test_network_inference_fused(benchmark, posit8_network):
     """Full-network exact inference through the fused whole-network plan.
 
-    Bit-identity is asserted in-run against the per-layer kernels, the
-    PR 1 ``dot_reference`` path, and (on a spot-checked slice) the scalar
-    EMAC oracle, so the speedup the regression guard measures can never
-    come from diverging numerics.
+    Bit-identity is asserted in-run against the PR 1 ``dot_reference``
+    path and (on a spot-checked slice) the scalar EMAC oracle, so the
+    speedup the regression guard measures can never come from diverging
+    numerics.
     """
     net, X = posit8_network
     plan = net.network_kernel()
     result = benchmark(plan.forward, X)
     assert result.shape == (NETWORK_BATCH, NETWORK_TOPOLOGY[-1])
-    assert np.array_equal(result, net.forward_patterns_layers(X))
     assert np.array_equal(result, _pr1_forward(net, X))
     for row in (0, NETWORK_BATCH // 2, NETWORK_BATCH - 1):
         assert list(result[row]) == net.forward_scalar([int(p) for p in X[row]])
@@ -146,12 +129,16 @@ def test_network_inference_fused(benchmark, posit8_network):
     expected = np.argmax(ranks[result.astype(np.int64)], axis=1)
     assert np.array_equal(plan.predict(X), expected)
     benchmark.extra_info["paths"] = [d["path"] for d in plan.explain()]
+    macs = NETWORK_BATCH * sum(
+        i * o for i, o in zip(NETWORK_TOPOLOGY, NETWORK_TOPOLOGY[1:])
+    )
+    benchmark.extra_info["exact_macs_per_round"] = macs
 
 
 @pytest.mark.benchmark(group="network-inference")
 def test_network_inference_pr1_baseline(benchmark, posit8_network):
     """The same forward on the retained PR 1 engine path (the baseline the
-    regression guard compares the compiled kernels against)."""
+    regression guard compares the fused plan against)."""
     net, X = posit8_network
     result = benchmark(_pr1_forward, net, X)
     assert result.shape == (NETWORK_BATCH, NETWORK_TOPOLOGY[-1])

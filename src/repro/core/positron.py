@@ -10,22 +10,20 @@ is affine ("identity" activation), and classification argmaxes the readout
 patterns directly through the format's monotone rank table (identical to
 argmaxing the decoded values, without the float64 decode).
 
-Each layer compiles its ``(weights, bias)`` into a reusable kernel at
-construction (:mod:`repro.formats.kernels`): weight digits are gathered and
-stacked once, so every ``forward`` is a single float64 GEMM per batch chunk
-plus the batched round-once output stage.  Whole-network calls
-(``forward_patterns`` / ``predict_patterns``) additionally ride a cached
-fused plan (:meth:`PositronNetwork.network_kernel`,
+Building a layer only validates its parameters; nothing is compiled until
+the first whole-network call.  ``forward_patterns`` / ``predict_patterns``
+then ride a cached fused plan (:meth:`PositronNetwork.network_kernel`,
 :mod:`repro.formats.network`) that chains the layers through fused
-round-once / pattern-ReLU / operand-gather epilogues with per-layer integer
-fast paths — bit-identical to the layer-by-layer path, kept as
-``forward_patterns_layers``.
+round-once / pattern-ReLU / operand-gather epilogues with a fixed integer
+fast path per layer.
 
 Two execution paths produce identical bits:
 
-* :meth:`PositronLayer.forward` — the vectorized engine (production path);
-* :meth:`PositronLayer.forward_scalar` — one scalar EMAC per neuron, used to
-  validate the engine and to emulate the hardware datapath one MAC per cycle.
+* the fused plan — :meth:`PositronNetwork.forward_patterns`, and
+  :meth:`PositronLayer.forward` as a one-layer plan (production path);
+* :meth:`PositronLayer.forward_scalar` — one scalar EMAC per neuron, the
+  oracle the plans are tested against, emulating the hardware datapath
+  one MAC per cycle.
 """
 
 from __future__ import annotations
@@ -47,10 +45,10 @@ __all__ = ["PositronLayer", "PositronNetwork", "Activation", "scalar_emac_for"]
 Activation = str  # "relu" | "identity"
 _ACTIVATIONS = ("relu", "identity")
 
-# Monotonic compile stamps: every layer (re)compile takes a fresh epoch, so
-# a network's cached fused plan can detect staleness by comparing epoch
+# Monotonic parameter stamps: every layer (re)compile takes a fresh epoch,
+# so a network's cached fused plan can detect staleness by comparing epoch
 # signatures (ids are unreliable — CPython reuses them after GC).
-_KERNEL_EPOCHS = itertools.count(1)
+_EPOCHS = itertools.count(1)
 
 
 def scalar_emac_for(fmt) -> Emac:
@@ -77,8 +75,9 @@ class PositronLayer:
     rounding_mode:
         Round-once output stage of every EMAC in the layer: ``"rne"``
         (default) or ``"rtz"`` (round toward zero, the truncated-EMAC
-        ablation).  Change it and call :meth:`recompile` to re-target the
-        compiled kernel.
+        ablation).  :meth:`forward` rounds in it; a network's plan rounds
+        in the network's own mode (see
+        :meth:`PositronNetwork.with_rounding_mode`).
     """
 
     fmt: object
@@ -100,20 +99,19 @@ class PositronLayer:
         self.recompile()
 
     def recompile(self) -> None:
-        """(Re)compile the layer kernel from the current parameters.
+        """Re-validate the parameters and invalidate cached plans.
 
-        Parameters are compiled once here — gathering weight digits,
-        pruning dead planes, stacking the digit-plane GEMM, precomputing
-        bias limbs — and every :meth:`forward` reuses the kernel.  Call
-        again after mutating ``weights``/``bias``/``rounding_mode`` in
-        place.
+        Rejects an unknown rounding mode and NaR, reserved or out-of-range
+        weight and bias patterns.  Call again after mutating
+        ``weights``/``bias``/``rounding_mode`` in place: the fresh epoch
+        makes the network's cached fused plan recompile on next use.
         """
         formats.check_rounding_mode(self.rounding_mode)
-        self._kernel = formats.backend_for(self.fmt).compile_layer(
-            self.weights, self.bias, rounding_mode=self.rounding_mode
-        )
-        # Stamp the compile so cached whole-network plans notice it.
-        self._kernel_epoch = next(_KERNEL_EPOCHS)
+        backend = formats.backend_for(self.fmt)
+        formats.check_format_patterns(backend, self.weights, "weights")
+        formats.check_format_patterns(backend, self.bias, "bias")
+        # Stamp the parameters so cached whole-network plans notice them.
+        self._epoch = next(_EPOCHS)
 
     @property
     def in_features(self) -> int:
@@ -134,11 +132,12 @@ class PositronLayer:
 
     # ------------------------------------------------------------------
     def forward(self, patterns: np.ndarray) -> np.ndarray:
-        """Compiled exact forward pass on ``(batch, in)`` patterns."""
-        out = self._kernel(np.asarray(patterns, dtype=np.uint32))
-        if self.activation == "relu":
-            out = self.engine.relu(out)
-        return out
+        """Exact forward pass on ``(batch, in)`` patterns: a one-layer plan."""
+        plan = formats.backend_for(self.fmt).compile_network(
+            [(self.weights, self.bias, self.activation)],
+            rounding_mode=self.rounding_mode,
+        )
+        return plan.forward(np.asarray(patterns, dtype=np.uint32))
 
     def forward_scalar(self, patterns: Sequence[int]) -> list[int]:
         """One-sample reference path: one scalar EMAC per neuron."""
@@ -240,7 +239,7 @@ class PositronNetwork:
         """A sibling network on the *same* pattern arrays, re-rounded.
 
         The twin shares weight/bias arrays and the memoized engine; only
-        the compiled kernels differ (their round-once output stage).  The
+        the compiled plan differs (its round-once output stage).  The
         rounding-mode ablations use this to deploy one quantized model
         under both modes without re-quantizing.  Twins are cached per mode
         so repeated ablation passes compile once; like ``recompile()``,
@@ -279,12 +278,12 @@ class PositronNetwork:
         )
 
     def recompile(self) -> None:
-        """Recompile every layer kernel (and cached mode twins') in place.
+        """Recompile every layer (and cached mode twins') in place.
 
         Call after mutating any layer's ``weights``/``bias`` arrays.  The
-        fresh kernel epochs automatically invalidate the cached fused
-        network plan (:meth:`network_kernel`), so the next
-        ``forward_patterns`` / ``predict_patterns`` recompiles it.
+        fresh layer epochs invalidate the cached fused network plans
+        (:meth:`network_kernel`) of this network and its twins, so the next
+        ``forward_patterns`` / ``predict_patterns`` recompiles them.
         """
         for layer in self.layers:
             layer.recompile()
@@ -297,18 +296,18 @@ class PositronNetwork:
 
         Chains every layer through fused round-once / pattern-space ReLU /
         operand-gather epilogues with a fixed integer fast path per layer
-        (see :mod:`repro.formats.network`).  The cache is keyed by the
-        layers' kernel epochs, so any :meth:`PositronLayer.recompile` — a
-        weight mutation, a rounding-mode change — invalidates it.
+        (see :mod:`repro.formats.network`).  The first call is the
+        network's only compile.  The cache is keyed by the layers' epochs,
+        so any :meth:`PositronLayer.recompile` — a weight mutation, a
+        rounding-mode change — invalidates it.
         """
-        signature = tuple(layer._kernel_epoch for layer in self.layers)
+        signature = tuple(layer._epoch for layer in self.layers)
         cached = self._network_plan
         if cached is not None and cached[0] == signature:
             return cached[1]
         plan = formats.backend_for(self.fmt).compile_network(
             [(l.weights, l.bias, l.activation) for l in self.layers],
             rounding_mode=self.rounding_mode,
-            layer_kernels=[l._kernel for l in self.layers],
         )
         self._network_plan = (signature, plan)
         return plan
@@ -319,27 +318,12 @@ class PositronNetwork:
         Runs the fused network plan (:meth:`network_kernel`): intermediate
         activations never materialize beyond their patterns, and usually
         not even that — each epilogue hands the next layer its operands
-        directly.  Bit-identical to :meth:`forward_patterns_layers`.
+        directly.  Bit-identical to :meth:`forward_scalar`, row by row.
         """
         out = np.asarray(patterns, dtype=np.uint32)
         if out.ndim == 1:
             out = out[None, :]
         return self.network_kernel().forward(out)
-
-    def forward_patterns_layers(self, patterns: np.ndarray) -> np.ndarray:
-        """Layer-by-layer forward through the compiled per-layer kernels.
-
-        The pre-fusion execution path (kernel + engine ReLU per layer),
-        kept as the oracle the fused plan is property-tested against and
-        as the baseline the benchmark regression guard measures fusion
-        speedup from.
-        """
-        out = np.asarray(patterns, dtype=np.uint32)
-        if out.ndim == 1:
-            out = out[None, :]
-        for layer in self.layers:
-            out = layer.forward(out)
-        return out
 
     def forward_scalar(self, patterns: Sequence[int]) -> list[int]:
         """Single-sample reference forward pass through scalar EMACs."""

@@ -4,23 +4,20 @@ Running Table II's experiments needs millions of exact MACs, far too many
 for the scalar reference cores.  These engines compute *bit-identical*
 results with numpy:
 
-* every pattern's exact aligned value ``(-1)**sign * sig << shift`` (from
-  the format backend's decode tables) is decomposed once, per pattern, into
-  a handful of signed base-``2**LIMB_BITS`` digits;
-* ``dot`` compiles ``(weights, bias)`` into a one-shot layer kernel
-  (:mod:`repro.formats.kernels`): the digit-plane convolution runs as a
-  single stacked float64 BLAS GEMM per batch chunk, with single-word and
-  plane-major fast paths when the weights allow them;
-* ``dot_reference`` retains the pre-compiled path — one float64 matmul per
-  (l, m) digit-plane pair, ``limbs[b, o, k] = sum_{l+m=k} (A_m @ W_l.T)`` —
-  as the in-tree baseline for bit-identity tests and the throughput
-  regression guard;
-* the limb tensor is rounded once, whole batches at a time, by the
-  backend's :meth:`~repro.formats.NumericFormat.encode_from_quire_batch` —
-  no per-sample Python loop anywhere on the hot path.
-
-The fixed-point engine is simpler: an int64 matmul is already exact at the
-paper's widths.
+* ``dot`` (one method on the base class, for every family) compiles
+  ``(weights, bias)`` into a one-layer fused plan
+  (:meth:`~repro.formats.NumericFormat.compile_network`,
+  :mod:`repro.formats.network`) and runs it — the same production path a
+  whole network's forward takes, with its per-layer integer fast paths and
+  its one wide-quire fallback;
+* ``TableVectorEngine.dot_reference`` retains the PR 1 path: every
+  pattern's exact aligned value ``(-1)**sign * sig << shift`` decomposed
+  into signed base-``2**LIMB_BITS`` digits, one float64 matmul per (l, m)
+  digit-plane pair, ``limbs[b, o, k] = sum_{l+m=k} (A_m @ W_l.T)``, and the
+  limb tensor rounded once by the backend's
+  :meth:`~repro.formats.NumericFormat.encode_from_quire_batch` — an
+  independent baseline for bit-identity tests and the throughput
+  regression guard.
 
 Engines are obtained from the format registry (``engine_for``); the engine
 layer itself is format-agnostic and knows nothing about concrete number
@@ -50,12 +47,6 @@ __all__ = [
     "engine_for",
 ]
 
-#: Soft cap on the size of per-chunk intermediate tensors.  Seeded from the
-#: kernels module's canonical value; ``dot`` passes this module's (possibly
-#: monkeypatched) copy through at call time.
-_CHUNK_ELEMENTS = formats.kernels._CHUNK_ELEMENTS
-
-
 class VectorEngine(ABC):
     """Format-generic vectorized EMAC layer engine.
 
@@ -65,12 +56,14 @@ class VectorEngine(ABC):
     one scalar EMAC per output neuron.
     """
 
+    #: The format backend whose plans compute ``dot``.
+    backend: formats.NumericFormat
+
     @property
     @abstractmethod
     def width(self) -> int:
         """Input pattern width in bits."""
 
-    @abstractmethod
     def dot(
         self,
         weights: np.ndarray,
@@ -81,26 +74,16 @@ class VectorEngine(ABC):
     ) -> np.ndarray:
         """(out, in) weights x (batch, in) activations -> (batch, out).
 
-        ``rounding_mode`` selects the round-once output stage: ``"rne"``
-        (default) or ``"rtz"`` (round toward zero, the truncated-EMAC
-        ablation).
+        Runs a one-layer fused plan (identity activation).  Callers that
+        reuse the same weights should compile once through
+        ``backend.compile_network`` instead.  ``rounding_mode`` selects the
+        round-once output stage: ``"rne"`` (default) or ``"rtz"`` (round
+        toward zero, the truncated-EMAC ablation).
         """
-
-    def dot_reference(
-        self,
-        weights: np.ndarray,
-        activations: np.ndarray,
-        bias: np.ndarray | None = None,
-        *,
-        rounding_mode: str = "rne",
-    ) -> np.ndarray:
-        """Reference (pre-compiled-kernel) dot path; defaults to ``dot``.
-
-        Table engines override this with the retained PR 1 digit-plane
-        nest so bit-identity tests and the throughput benchmark keep an
-        in-tree baseline to compare the compiled kernels against.
-        """
-        return self.dot(weights, activations, bias, rounding_mode=rounding_mode)
+        plan = self.backend.compile_network(
+            [(weights, bias, "identity")], rounding_mode=rounding_mode
+        )
+        return plan.forward(np.asarray(activations, dtype=np.uint32))
 
     @abstractmethod
     def relu(self, patterns: np.ndarray) -> np.ndarray:
@@ -138,28 +121,12 @@ class FixedVectorEngine(VectorEngine):
         if fmt.n > 16:
             raise ValueError("vector engine supports n <= 16")
         self.fmt = fmt
+        self.backend = formats.backend_for(fmt)
 
     @property
     def width(self) -> int:
         """Input width ``n``."""
         return self.fmt.n
-
-    def dot(self, weights, activations, bias=None, *, rounding_mode="rne"):
-        """Accumulate exactly in int64, then shift-truncate-clip."""
-        weights = np.asarray(weights, dtype=np.uint32)
-        activations = np.asarray(activations, dtype=np.uint32)
-        _validate_shapes(weights, activations, bias)
-        w = fx.signed_array(self.fmt, weights)  # (out, in)
-        a = fx.signed_array(self.fmt, activations)  # (batch, in)
-        acc = a @ w.T  # (batch, out); exact: |terms| < 2**(2n-2), k < 2**20
-        if bias is not None:
-            b = fx.signed_array(self.fmt, np.asarray(bias, dtype=np.uint32))
-            acc = acc + (b << self.fmt.q)[None, :]
-        # floor for "rne" (the paper's Fig. 3 stage), magnitude-floor for
-        # "rtz" — one shared definition across backend/engine/kernel.
-        out = formats.arithmetic_shift_round(acc, self.fmt.q, rounding_mode)
-        out = np.clip(out, self.fmt.int_min, self.fmt.int_max)
-        return (out & self.fmt.mask).astype(np.uint32)
 
     def relu(self, patterns):
         """Negative patterns -> 0."""
@@ -207,30 +174,13 @@ class TableVectorEngine(VectorEngine):
 
     # -- shared ---------------------------------------------------------
     def _check_patterns(self, patterns: np.ndarray, what: str) -> np.ndarray:
-        # One validator serves the engines, the layer kernels, and the
-        # fused network plans (which validate network inputs exactly once).
+        # One validator serves this reference and the fused network plans
+        # (which validate network inputs exactly once).
         return formats.check_patterns(self._tables, patterns, what)
-
-    def dot(self, weights, activations, bias=None, *, rounding_mode="rne"):
-        """Exact round-once dot products via a one-shot compiled kernel.
-
-        Compiles ``(weights, bias)`` into a stacked digit-plane GEMM kernel
-        (:mod:`repro.formats.kernels`) and applies it — one BLAS call per
-        batch chunk, bit-identical to :meth:`dot_reference`.  Callers that
-        reuse the same weights (layers, sweeps) should compile once via
-        ``backend.compile_layer`` instead.
-        """
-        kernel = self.backend.compile_layer(
-            weights,
-            bias,
-            chunk_elements=_CHUNK_ELEMENTS,
-            rounding_mode=rounding_mode,
-        )
-        return kernel(np.asarray(activations, dtype=np.uint32))
 
     def dot_reference(self, weights, activations, bias=None, *, rounding_mode="rne"):
         """The PR 1 digit-plane-nest path, retained as the in-tree baseline
-        for kernel bit-identity tests and the throughput benchmark."""
+        for plan bit-identity tests and the throughput benchmark."""
         formats.check_rounding_mode(rounding_mode)
         weights = np.asarray(weights, dtype=np.uint32)
         activations = np.asarray(activations, dtype=np.uint32)
@@ -256,7 +206,7 @@ class TableVectorEngine(VectorEngine):
 
         bias_limbs = self._bias_limbs(bias, out_dim)
 
-        chunk = max(1, _CHUNK_ELEMENTS // max(1, out_dim * L))
+        chunk = max(1, formats.kernels._CHUNK_ELEMENTS // max(1, out_dim * L))
         out = np.empty((batch, out_dim), dtype=np.uint32)
         for start in range(0, batch, chunk):
             stop = min(batch, start + chunk)

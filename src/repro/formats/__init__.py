@@ -18,10 +18,7 @@ and the CLI with no further code changes.
 
 from .base import LimbTables, NumericFormat
 from .kernels import (
-    DotLayerKernel,
-    LayerKernel,
-    MatmulLayerKernel,
-    TableLayerKernel,
+    check_format_patterns,
     check_patterns,
     clear_scratch,
     digit_planes,
@@ -61,12 +58,9 @@ from .posit_backend import PositBackend
 __all__ = [
     "NumericFormat",
     "LimbTables",
-    "LayerKernel",
-    "TableLayerKernel",
-    "MatmulLayerKernel",
-    "DotLayerKernel",
     "digit_planes",
     "check_patterns",
+    "check_format_patterns",
     "quire_bound_bits",
     "clear_scratch",
     "NetworkKernel",

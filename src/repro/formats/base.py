@@ -5,8 +5,9 @@ Every number system the EMAC architecture supports is wrapped in one
 everything the rest of the library needs:
 
 * **metadata** — family string, canonical registry name, label, width;
-* **decode tables** (:class:`LimbTables`) feeding the limb-accumulating
-  vector engine, or ``None`` for formats with an exact int64 matmul path;
+* **decode tables** (:class:`LimbTables`) feeding the compiled plans and
+  the limb-accumulating reference, or ``None`` for fixed point, whose
+  plans use an exact int64 matmul;
 * **batched kernels** — ``quantize_batch`` / ``decode_batch`` /
   ``relu_batch`` and the fully vectorized ``encode_from_quire_batch``
   round-once output stage;
@@ -98,55 +99,21 @@ class NumericFormat(ABC):
         """Decode tables for the limb engine; ``None`` if not table-driven."""
         return None
 
-    def compile_layer(
-        self, weights, bias=None, *, chunk_elements=None, rounding_mode="rne"
-    ):
-        """Compile ``(weights, bias)`` into a reusable :class:`LayerKernel`.
-
-        Table-driven formats get the stacked digit-plane GEMM kernel (see
-        :mod:`repro.formats.kernels`); families without limb tables fall
-        back to a kernel that defers to their engine's ``dot`` — override
-        for a format-specific compiled path (fixed point does).
-        ``rounding_mode`` selects the round-once output stage: ``"rne"``
-        (default) or ``"rtz"`` (round toward zero, the truncated-EMAC
-        ablation) — carried through every kernel fast path.
-        """
-        from .kernels import DotLayerKernel, TableLayerKernel
-
-        if self.limb_tables() is not None:
-            return TableLayerKernel(
-                self,
-                weights,
-                bias,
-                chunk_elements=chunk_elements,
-                rounding_mode=rounding_mode,
-            )
-        return DotLayerKernel(self, weights, bias, rounding_mode=rounding_mode)
-
-    def compile_network(
-        self,
-        layers,
-        *,
-        rounding_mode="rne",
-        layer_kernels=None,
-    ):
-        """Compile a whole layer stack into one fused network plan.
+    def compile_network(self, layers, *, rounding_mode="rne"):
+        """Compile a layer stack into one fused network plan.
 
         ``layers`` is a sequence of ``(weights, bias, activation)`` triples;
         the resulting :class:`~repro.formats.network.NetworkKernel` chains
         every layer through fused round-once / pattern-ReLU / operand-gather
         epilogues and takes a fixed integer fast path per layer (see
-        :mod:`repro.formats.network`).  Pass the already compiled per-layer
-        kernels via ``layer_kernels`` to let fallback layers reuse them.
+        :mod:`repro.formats.network`).  ``rounding_mode`` selects the
+        round-once output stage: ``"rne"`` (default) or ``"rtz"`` (round
+        toward zero, the truncated-EMAC ablation).  This is the only
+        compile step: every exact dot product runs through such a plan.
         """
         from .network import NetworkKernel
 
-        return NetworkKernel(
-            self,
-            layers,
-            rounding_mode=rounding_mode,
-            layer_kernels=layer_kernels,
-        )
+        return NetworkKernel(self, layers, rounding_mode=rounding_mode)
 
     def rank_table(self) -> np.ndarray:
         """Monotone int64 rank per pattern: ``rank[p] < rank[q]`` iff
@@ -198,10 +165,11 @@ class NumericFormat(ABC):
     ) -> np.ndarray:
         """Round exact *single-word* quires (int64 ``words`` of quire LSBs).
 
-        The compiled layer kernels prove, per weight matrix, when every
-        possible quire fits one int64 (see :mod:`repro.formats.kernels`);
-        this entry point then skips limb normalization entirely.  The
-        default routes through :meth:`encode_from_quire_batch`; table
+        A plan proves, per weight matrix, when every possible quire fits
+        one int64 (see :mod:`repro.formats.network`); such layers skip limb
+        normalization, and their round-once stage is a round table bisected
+        once against this method (:func:`~repro.formats.network.round_table`).
+        The default routes through :meth:`encode_from_quire_batch`; table
         backends override it with a direct sign/magnitude encode.
         """
         words = np.asarray(words, dtype=np.int64)

@@ -1,7 +1,8 @@
 """Fixed-point backend.
 
 Fixed point needs no decode tables (patterns *are* scaled integers), so
-``limb_tables`` returns ``None`` and the engine uses an exact int64 matmul.
+``limb_tables`` returns ``None`` and every plan layer is an exact int64
+matmul (``_FixedStep`` in :mod:`repro.formats.network`).
 ``encode_from_quire_batch`` is still provided — it applies the paper's
 Fig. 3 output stage (shift right by ``q`` with floor, then clip) to quires
 expressed as limbs, so the backend protocol is uniform across families and
@@ -43,16 +44,6 @@ class FixedBackend(NumericFormat):
         return -2 * self.fmt.q
 
     # ------------------------------------------------------------------
-    def compile_layer(
-        self, weights, bias=None, *, chunk_elements=None, rounding_mode="rne"
-    ):
-        """Fixed layers compile to a precomputed signed int64 matmul."""
-        from .kernels import MatmulLayerKernel
-
-        return MatmulLayerKernel(
-            self, weights, bias, rounding_mode=rounding_mode
-        )
-
     def quantize_batch(self, values: np.ndarray) -> np.ndarray:
         return fx.quantize_array(self.fmt, values)
 

@@ -1,13 +1,14 @@
-"""Fused-epilogue network kernels: whole-network compiled inference plans.
+"""Fused-epilogue network plans: the one production path for exact dots.
 
-The per-layer kernels (:mod:`repro.formats.kernels`) already collapse each
-layer's exact accumulation to one GEMM, but a network forward still pays a
-full generic epilogue at every layer boundary: the quire words run through
-the ~30-operation ``encode_from_quire_words`` rounding chain, ReLU is a
-separate gather pass, the next layer re-validates every activation pattern
-(three whole-tensor reductions) and re-gathers digit planes from scratch.
-Profiling a paper-sized posit8 network shows that epilogue machinery — not
-the GEMMs — dominates the forward.
+Every exact dot product in the library — a whole network's forward, one
+``PositronLayer.forward``, one ``VectorEngine.dot`` — runs through a
+:class:`NetworkKernel` plan (a single layer is a one-layer plan).  Computed
+layer by layer, a forward would pay a full generic epilogue at every layer
+boundary: the quire words run through the ~30-operation
+``encode_from_quire_words`` rounding chain, ReLU is a separate gather pass,
+and the next layer re-validates every activation pattern.  Profiling a
+paper-sized posit8 network shows that epilogue machinery — not the GEMMs —
+dominates such a forward.
 
 A :class:`NetworkKernel` compiles a whole layer stack into one chained
 plan in which intermediate activations never materialize beyond their
@@ -40,8 +41,8 @@ at compile time with no timing, so every process builds the same plan for
 the same network:
 
 ``plane``
-    The per-layer kernels' plane-major stage: one float64 BLAS GEMM per
-    live activation digit plane against the exact float64 weight values.
+    Plane-major: one float64 BLAS GEMM per live activation digit plane
+    against the exact float64 weight values.
     Eligible when the layer is single-word and the weights are narrow
     (``w_bits + LIMB_BITS + log2(in) <= 53``).  Taken by eligible layers
     whose fan-in is at least ``_PLANE_MIN_FAN_IN`` (64), where its BLAS
@@ -54,22 +55,27 @@ the same network:
     is bounded by ``max_row sum|w| * max|a| < 2**62``.  Taken by every
     other single-word layer.
 ``layer``
-    Fallback: the compiled per-layer kernel plus a composed epilogue
-    gather.  Used when the quire bound exceeds int64 (pathological
-    weights) and for custom formats without limb tables.  Fixed point
-    compiles to its native int64 matmul with the shift-round epilogue
-    inlined (its clipped signed outputs *are* monotone ranks, so the
-    fused readout is a plain argmax).
+    The one wide-quire fallback: the limb kernel
+    (:class:`~repro.formats.kernels.TableLayerKernel`, one stacked
+    digit-plane GEMM plus limb normalization) and a composed epilogue
+    gather.  Used when the quire bound exceeds int64 (maxpos-heavy
+    weights, 16-bit posits).
+
+Fixed point compiles every layer to its native int64 matmul with the
+Fig. 3 shift-round epilogue inlined (its clipped signed outputs *are*
+monotone ranks, so the fused readout is a plain argmax).  A family must
+provide limb tables or be fixed point; compiling a plan for any other
+backend raises ``TypeError``.
 
 Exactness: both fast paths compute the same exact int64 quire word,
 then share the same oracle-derived round table — so they are bit-identical
-to each other, to the per-layer kernels, and to the scalar EMACs
+to each other, to the limb kernel, and to the scalar EMACs
 (property-tested across every registered format, both rounding modes, and
 every forced path in ``tests/formats/test_network_kernel.py``).
 
 Obtain plans through :meth:`repro.formats.NumericFormat.compile_network`
 (or ``PositronNetwork.network_kernel()``, which recompiles automatically
-when a layer is recompiled); ``explain()`` reports each layer's path, its
+after ``recompile()``); ``explain()`` reports each layer's path, its
 eligible paths, and the compiled-table footprint — surfaced as
 ``python -m repro formats --explain DATASET:FORMAT``.
 """
@@ -78,12 +84,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..fixedpoint import codec as fx
 from . import kernels as _kernels
 from .base import NumericFormat
+from .fixed_backend import FixedBackend
 from .kernels import (
-    MatmulLayerKernel,
+    TableLayerKernel,
     _check_weights,
     _scratch,
+    check_format_patterns,
     check_patterns,
     digit_planes,
     quire_bound_bits,
@@ -410,9 +419,9 @@ class _FixedStep:
     wants = "signed"
 
     def __init__(self, backend, weights, bias, activation, mode):
-        from ..fixedpoint import codec as fx
-
         fmt = backend.fmt
+        if fmt.n > 16:
+            raise ValueError("fixed-point plans support n <= 16")
         self.fmt = fmt
         self.mode = mode
         self.activation = activation
@@ -450,11 +459,11 @@ class _FixedStep:
 
 
 class _LayerStep:
-    """Fallback: the compiled per-layer kernel plus a composed epilogue LUT.
+    """Wide-quire fallback: the limb kernel plus a composed epilogue LUT.
 
     Covers layers whose quire bound exceeds int64 (no single-word round
-    table) and custom formats without limb tables.  Still fuses
-    ReLU-and-operand conversion into one pattern-indexed gather.
+    table).  Still fuses ReLU-and-operand conversion into one
+    pattern-indexed gather.
     """
 
     path = "layer"
@@ -489,7 +498,7 @@ class _LayerStep:
         self.rank_lut = self._compose("rank")
 
     def run(self, ops, scratch, tag, readout=False):
-        out = self.kernel(np.asarray(ops, dtype=np.uint32)).astype(np.int64)
+        out = self.kernel(ops).astype(np.int64)  # ops: validated patterns
         lut = self.rank_lut if readout else self.out_lut
         return out if lut is None else lut[out]
 
@@ -506,8 +515,9 @@ class NetworkKernel:
     ``layers`` is a sequence of ``(weights, bias, activation)`` triples
     (patterns as uint32 arrays; activation ``"relu"`` or ``"identity"``).
     :meth:`forward` returns the exact output patterns, bit-identical to
-    running the per-layer kernels with interleaved ReLU; :meth:`predict`
-    returns rank-argmax class labels without materializing the readout.
+    one scalar EMAC per neuron with pattern ReLU between layers;
+    :meth:`predict` returns rank-argmax class labels without materializing
+    the readout.
 
     Each layer's words path is a fixed function of the layer (see the
     module docstring).  ``force_path`` pins every layer to one path
@@ -520,7 +530,6 @@ class NetworkKernel:
         layers,
         *,
         rounding_mode: str = "rne",
-        layer_kernels=None,
         force_path: str | None = None,
     ):
         if not layers:
@@ -531,11 +540,6 @@ class NetworkKernel:
             )
         self.backend = backend
         self.rounding_mode = check_rounding_mode(rounding_mode)
-        if layer_kernels is None:
-            layer_kernels = [None] * len(layers)
-        if len(layer_kernels) != len(layers):
-            raise ValueError("need one compiled kernel (or None) per layer")
-
         self._tables = backend.limb_tables()
         self.steps = []
         self._eligible = []
@@ -549,7 +553,7 @@ class NetworkKernel:
                 )
             prev_out = weights.shape[0]
             step, eligible = self._plan_layer(
-                weights, bias, activation, layer_kernels[i], force_path
+                weights, bias, activation, force_path
             )
             self.steps.append(step)
             self._eligible.append(eligible)
@@ -565,39 +569,30 @@ class NetworkKernel:
         self.out_features = self.steps[-1].out_features
 
     # ------------------------------------------------------------------
-    def _plan_layer(self, weights, bias, activation, kernel, force_path):
+    def _plan_layer(self, weights, bias, activation, force_path):
         """``(step, eligible paths)`` for one layer."""
         backend, tables = self.backend, self._tables
         mode = self.rounding_mode
-
-        def compiled():
-            return kernel if kernel is not None else backend.compile_layer(
-                weights, bias, rounding_mode=mode
-            )
-
         if tables is None:
-            layer_kernel = compiled()
-            if isinstance(layer_kernel, MatmulLayerKernel):
-                if force_path not in (None, "int64"):
-                    raise ValueError(
-                        f"fixed point supports only the int64 path, "
-                        f"not {force_path!r}"
-                    )
-                step = _FixedStep(backend, weights, bias, activation, mode)
-                return step, ("int64",)
-            if force_path not in (None, "layer"):
-                raise ValueError(
-                    f"{backend.name} has no limb tables; only the layer "
-                    f"path is available"
+            if not isinstance(backend, FixedBackend):
+                raise TypeError(
+                    f"{backend.name} has no limb tables and is not fixed "
+                    f"point; no plan can compute its dot products"
                 )
-            return _LayerStep(backend, layer_kernel, activation), ("layer",)
+            if force_path not in (None, "int64"):
+                raise ValueError(
+                    f"fixed point supports only the int64 path, "
+                    f"not {force_path!r}"
+                )
+            step = _FixedStep(backend, weights, bias, activation, mode)
+            return step, ("int64",)
 
         wp = check_patterns(tables, weights, "weights")
         bp = None if bias is None else check_patterns(tables, bias, "bias")
         eligible = self._eligible_paths(wp, bp) + ("layer",)
         if force_path is None:
             # Fixed rule: wide layers prefer plane, narrow ones int64;
-            # either falls back to the other, then to the per-layer kernel.
+            # either falls back to the other, then to the limb kernel.
             if wp.shape[1] >= _PLANE_MIN_FAN_IN:
                 order = ("plane", "int64", "layer")
             else:
@@ -611,7 +606,8 @@ class NetworkKernel:
                 f"{force_path!r} path (eligible: {eligible})"
             )
         if chosen == "layer":
-            step = _LayerStep(backend, compiled(), activation)
+            kernel = TableLayerKernel(backend, tables, wp, bp, mode)
+            step = _LayerStep(backend, kernel, activation)
         else:
             step = _TableStep(backend, tables, wp, bp, activation, mode, chosen)
         return step, eligible
@@ -645,21 +641,14 @@ class NetworkKernel:
                 f"fan-in mismatch: network expects {self.in_features}, "
                 f"inputs have {p.shape[1]}"
             )
-        if self._tables is not None:
-            return check_patterns(self._tables, p, "activations")
-        p = np.asarray(p, dtype=np.int64)
-        if p.size and (p.min() < 0 or p.max() >= 1 << self.backend.width):
-            raise ValueError("activations pattern out of range")
-        return p
+        return check_format_patterns(self.backend, p, "activations")
 
     def _first_ops(self, p: np.ndarray) -> np.ndarray:
         wants = self.steps[0].wants
         if wants == "aval":
             return aligned_value_table(self.backend)[p]
         if wants == "signed":
-            from ..fixedpoint import codec as fx
-
-            return fx.signed_array(self.backend.fmt, p.astype(np.uint32))
+            return fx.signed_array(self.backend.fmt, p)
         return p  # "pattern"
 
     def _chunk_rows(self) -> int:

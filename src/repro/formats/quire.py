@@ -59,8 +59,8 @@ def arithmetic_shift_round(values, shift: int, mode: str = "rne"):
 
     ``"rne"`` names the paper's native Fig. 3 stage — an arithmetic shift
     right, i.e. floor; ``"rtz"`` floors the magnitude instead (round
-    toward zero).  The single definition keeps the fixed backend, its
-    engine, and its compiled kernel bit-identical by construction.
+    toward zero).  The single definition keeps the fixed backend and its
+    compiled plans bit-identical by construction.
     """
     check_rounding_mode(mode)
     if mode == "rne":
@@ -136,9 +136,9 @@ def words_as_quire(words: np.ndarray) -> NormalizedQuire:
 
     Each int64 ``word`` is a whole quire value in quire-LSB units
     (``|word| < 2**62`` so the magnitude keeps a headroom bit).  The
-    compiled layer kernels use this when the weights prove every possible
-    accumulation fits one word: no limb normalization, no sticky tail —
-    the magnitude *is* the exact ``top``.
+    single-word encoders use this for quires a plan proves fit one word:
+    no limb normalization, no sticky tail — the magnitude *is* the exact
+    ``top``.
     """
     w = np.asarray(words, dtype=np.int64)
     sign = w < 0

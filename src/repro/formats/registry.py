@@ -18,8 +18,8 @@ scalar EMAC, quantization, accuracy sweeps, CLI — with one
 Backends are cached per format descriptor (descriptors are frozen
 dataclasses), so decode tables, digit planes, engines, and rank tables are
 built once per process and shared by every consumer — sweep workers,
-compiled layer kernels, and the serving layer's resident models alike
-(safe across executor threads: kernel scratch is per-thread).
+compiled network plans, and the serving layer's resident models alike
+(safe across executor threads: plan scratch is per-thread).
 
 ``docs/formats.md`` is the authoring guide: the full backend protocol,
 the small-float backend as the worked example, and what a single

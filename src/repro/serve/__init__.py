@@ -2,7 +2,7 @@
 
 ``repro.serve`` turns the offline reproduction into an always-on service:
 a stdlib-only asyncio HTTP server whose per-model micro-batchers coalesce
-concurrent requests into the stacked batches the compiled layer kernels
+concurrent requests into the stacked batches the compiled network plans
 are built for, with responses **bit-identical** to calling
 :meth:`repro.core.positron.PositronNetwork.predict` directly.
 

@@ -1,9 +1,9 @@
 """Micro-batching scheduler, asyncio binding: coalesce requests into one GEMM.
 
-The compiled layer kernels (:mod:`repro.formats.kernels`) amortize to one
-float64 GEMM per layer *per batch* — a batch-1 request pays the whole
-per-call overhead for a single sample.  A :class:`MicroBatcher` turns
-concurrent single requests into kernel-sized batches:
+The compiled network plans (:mod:`repro.formats.network`) amortize to one
+GEMM per layer *per batch* — a batch-1 request pays the whole per-call
+overhead for a single sample.  A :class:`MicroBatcher` turns concurrent
+single requests into plan-sized batches:
 
 * every served model owns one batcher and one bounded :class:`asyncio.Queue`
   (backpressure: when the queue is full, ``submit`` waits, which propagates
@@ -30,8 +30,7 @@ concurrent single requests into kernel-sized batches:
   full-size slices).  That call rides the network's fused plan
   (:mod:`repro.formats.network`) — round-once, pattern-space ReLU, and
   the rank-argmax readout chained per layer, warmed at model load — and
-  stays bit-identical to direct ``predict`` because the fused plan is
-  bit-identical to the per-layer kernels.
+  stays bit-identical to direct ``predict``, which runs the same plan.
 
 Every scheduling *decision* — effective delay, shed threshold, deadline
 expiry, slice caps, poison isolation — lives in
@@ -41,8 +40,8 @@ the one binding the HTTP server and every process-pool worker run.
 
 **Bit-exactness.** Coalescing cannot change any answer: quantization is
 elementwise (stacking quantized requests equals quantizing the stacked
-batch), every kernel partial sum is an exact integer in float64 so the GEMM
-result is independent of batch composition, and the rank-table argmax is
+batch), every GEMM partial sum is an exact integer so the result is
+independent of batch composition, and the rank-table argmax is
 per-row.  Served predictions are therefore bit-identical to calling
 ``predict`` on each request alone — property-tested under concurrent load
 in ``tests/serve/``.

@@ -81,7 +81,7 @@ from .http import (
 )
 from .registry import ModelRegistry
 from .scheduler import POINT_WORKER
-from .server import InferenceServer
+from .server import InferenceServer, check_knobs
 from .stats import merge_states
 
 __all__ = [
@@ -262,6 +262,9 @@ class WorkerPool:
             # Platforms without SO_REUSEPORT (or with it compiled out)
             # fall back to the router automatically.
             mode = "router"
+        # A knob every worker would reject must fail here, once: otherwise
+        # each worker dies at startup and the supervisor respawns it.
+        check_knobs(server_kwargs or {})
         self.host = host
         self.port = port
         self.workers = int(workers)

@@ -8,10 +8,9 @@ request (or an explicit ``/warmup``) for a ``(dataset, format_name)`` pair:
    content-addressed artifact store by spec hash, or trains once and
    persists it (see ``docs/running-experiments.md``);
 2. quantizes the parameters into a :class:`~repro.core.positron.
-   PositronNetwork`, whose layers compile their digit-plane GEMM kernels at
-   construction against the registry-memoized format backend — so decode
-   tables, digit planes, and rank tables are shared with every other
-   consumer in the process;
+   PositronNetwork` and compiles its fused network plan against the
+   registry-memoized format backend — so decode tables, round tables, and
+   rank tables are shared with every other consumer in the process;
 3. caches the resulting :class:`ServedModel` for the life of the server.
 
 Loading is serialized per key with an :class:`asyncio.Lock` (concurrent
@@ -137,7 +136,7 @@ class ModelRegistry:
 
         Concurrent callers for the same key await one load; callers for
         different keys load independently.  The blocking work (store read
-        or training + kernel compilation) runs on ``executor``.
+        or training + plan compilation) runs on ``executor``.
         """
         backend = formats.get(format_name)  # canonicalize + fail fast
         key = (dataset, backend.name)
@@ -167,7 +166,7 @@ class ModelRegistry:
         The hot-swap path (``POST /swap``): the loader/store is consulted
         again — picking up retrained or repaired artifacts written since
         the model was first loaded — and the fresh :class:`ServedModel`
-        (new network, newly compiled kernels and fused plan) replaces the
+        (new network and newly compiled fused plan) replaces the
         old one in a single assignment.  Requests resolving the key during
         the rebuild keep getting the old model; the per-key lock
         serializes concurrent reloads.

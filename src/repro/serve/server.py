@@ -67,7 +67,13 @@ from .http import (
 from .registry import ModelRegistry, ServedModel
 from .stats import ServeStats
 
-__all__ = ["InferenceServer", "ServerHandle", "start_in_thread", "serve_forever"]
+__all__ = [
+    "InferenceServer",
+    "ServerHandle",
+    "check_knobs",
+    "start_in_thread",
+    "serve_forever",
+]
 
 #: Fires once per accepted HTTP request, pre-dispatch; ``drop`` here
 #: severs the connection mid-exchange the way a flaky network would.
@@ -95,6 +101,42 @@ _INLINE_BODY_BYTES = 64 * 1024
 _POOLED_FORWARD = {"/swap", "/ab", "/rollback", "/stats", "/metrics"}
 
 
+#: The serving knobs checked before anything starts: name -> (valid?, why).
+_KNOB_RULES = {
+    "max_batch": (lambda v: v >= 1, "max_batch must be >= 1"),
+    "max_delay_ms": (
+        lambda v: math.isfinite(v) and v >= 0,
+        "max_delay_ms must be a finite number >= 0",
+    ),
+    "queue_limit": (lambda v: v >= 1, "queue_limit must be >= 1"),
+    "executor_workers": (lambda v: v >= 1, "executor_workers must be >= 1"),
+    "submit_timeout_s": (
+        lambda v: math.isfinite(v) and v > 0,
+        "submit_timeout_s must be a finite number > 0",
+    ),
+    "canary_every": (lambda v: v >= 0, "canary_every must be >= 0"),
+    "shed_threshold": (
+        lambda v: v is None or 0.0 < v <= 1.0,
+        "shed_threshold must be in (0, 1]",
+    ),
+    "rollback_after": (lambda v: v >= 0, "rollback_after must be >= 0"),
+}
+
+
+def check_knobs(knobs: dict) -> None:
+    """Raise ``ValueError`` for the first serving knob outside its range.
+
+    ``knobs`` maps :class:`InferenceServer` keyword names to values; names
+    without a rule, and knobs left out (their defaults are valid), are not
+    checked.  The server runs it at construction and the worker pool
+    before it spawns a worker, so a bad knob fails at startup either way.
+    """
+    for name, value in knobs.items():
+        rule = _KNOB_RULES.get(name)
+        if rule is not None and not rule[0](value):
+            raise ValueError(rule[1])
+
+
 class InferenceServer:
     """The service: registry + per-model micro-batchers + HTTP front end."""
 
@@ -119,22 +161,16 @@ class InferenceServer:
     ):
         # Fail at construction, not on the first request: these values are
         # otherwise only exercised when a batcher is built or a queue fills.
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if not (math.isfinite(max_delay_ms) and max_delay_ms >= 0):
-            raise ValueError("max_delay_ms must be a finite number >= 0")
-        if queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
-        if executor_workers < 1:
-            raise ValueError("executor_workers must be >= 1")
-        if not (math.isfinite(submit_timeout_s) and submit_timeout_s > 0):
-            raise ValueError("submit_timeout_s must be a finite number > 0")
-        if canary_every < 0:
-            raise ValueError("canary_every must be >= 0")
-        if shed_threshold is not None and not 0.0 < shed_threshold <= 1.0:
-            raise ValueError("shed_threshold must be in (0, 1]")
-        if rollback_after < 0:
-            raise ValueError("rollback_after must be >= 0")
+        check_knobs(dict(
+            max_batch=max_batch,
+            max_delay_ms=max_delay_ms,
+            queue_limit=queue_limit,
+            executor_workers=executor_workers,
+            submit_timeout_s=submit_timeout_s,
+            canary_every=canary_every,
+            shed_threshold=shed_threshold,
+            rollback_after=rollback_after,
+        ))
         self.registry = registry if registry is not None else ModelRegistry()
         self.host = host
         self.port = port

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import formats
 from repro.core import PositronNetwork, engine_for
 from repro.core.positron import PositronLayer
 from repro.fixedpoint import fixed_format
@@ -34,6 +35,24 @@ class TestConstruction:
         l2 = PositronLayer(P8, np.zeros((3, 6), np.uint32), np.zeros(3, np.uint32), "identity", engine)
         with pytest.raises(ValueError):
             PositronNetwork(P8, [l1, l2])
+
+    @pytest.mark.parametrize(
+        "name, bad",
+        [
+            ("posit8_1", 0x80),  # NaR
+            ("float4_3", 0b01111000),  # reserved (inf-like)
+            ("fixed8_4", 300),  # outside 8-bit patterns
+        ],
+    )
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    def test_invalid_patterns_rejected_at_construction(self, name, bad, where):
+        """from_arrays rejects a bad parameter pattern before any compile."""
+        fmt = formats.get(name).fmt
+        weights = [np.zeros((3, 4), np.uint32), np.zeros((2, 3), np.uint32)]
+        biases = [np.zeros(3, np.uint32), np.zeros(2, np.uint32)]
+        (weights if where == "weights" else biases)[1][0] = bad
+        with pytest.raises(ValueError, match=where):
+            PositronNetwork.from_arrays(fmt, weights, biases)
 
     def test_empty_network_rejected(self):
         with pytest.raises(ValueError):
@@ -129,7 +148,7 @@ class TestFusedPlanLifecycle:
         net.recompile()
         assert net.network_kernel() is not plan
 
-    def test_recompile_after_weight_mutation(self, rng):
+    def test_recompile_after_weight_mutation(self, rng, scalar_forward):
         """Mutating weights after the plan compiled requires recompile();
         the fused forward must then track the new parameters exactly."""
         net, engine = tiny_network(P8, rng)
@@ -140,17 +159,15 @@ class TestFusedPlanLifecycle:
         )
         net.recompile()
         after = net.forward_patterns(X)
-        assert np.array_equal(after, net.forward_patterns_layers(X))
+        assert np.array_equal(after, scalar_forward(net, X))
         assert not np.array_equal(after, before)
 
-    def test_mode_twin_compiles_its_own_plan(self, rng):
+    def test_mode_twin_compiles_its_own_plan(self, rng, scalar_forward):
         net, engine = tiny_network(P8, rng)
         twin = net.with_rounding_mode("rtz")
         assert twin.network_kernel() is not net.network_kernel()
         X = engine.quantize(rng.normal(size=(5, 4)))
-        assert np.array_equal(
-            twin.forward_patterns(X), twin.forward_patterns_layers(X)
-        )
+        assert np.array_equal(twin.forward_patterns(X), scalar_forward(twin, X))
         # recompile() on the parent reaches cached twins' layers too, so
         # the twin's fused plan is invalidated along with the parent's.
         twin_plan = twin.network_kernel()

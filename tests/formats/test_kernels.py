@@ -1,11 +1,14 @@
-"""Bit-identity of the compiled layer kernels.
+"""Bit-identity of one-layer plans and the wide-quire limb kernel.
 
-Every registered format's compiled kernel (stacked digit-plane GEMM,
-plane-major single-word, and the precompiled fixed matmul) must reproduce
-``dot_reference`` — the retained PR 1 digit-plane nest — and the scalar
-EMACs, bit for bit, over random shapes including empty batches, fan-in 1,
-chunk-boundary-crossing batches, and all-zero weight planes; plus a
-network-level check against the golden-pinned iris parent model.
+``VectorEngine.dot`` compiles a one-layer fused plan, the same code a whole
+network's forward runs.  Every registered format's plan must reproduce the
+scalar EMACs bit for bit, and ``dot_reference`` — the retained PR 1
+digit-plane nest the engine guard times — must match the scalar EMACs in
+both rounding modes.  Explicit edge cases pin what a random property
+rarely reaches: empty batches, fan-in 1, batch-chunk boundaries, all-zero
+weight planes, maxpos-heavy weights on the limb kernel, fan-in splits, and
+input rejection; plus a network-level check against the golden-pinned iris
+parent model.
 """
 
 import numpy as np
@@ -18,6 +21,8 @@ from repro.core import engine_for, scalar_emac_for
 from repro.core.positron import PositronNetwork
 from repro.fixedpoint import fixed_format
 from repro.floatp import float_format
+from repro.formats import kernels
+from repro.formats.network import NetworkKernel
 from repro.posit.format import standard_format
 
 FORMATS = [
@@ -64,28 +69,47 @@ def random_layer(fmt, rng, out_dim, in_dim, batch, with_bias):
     return W, X, B
 
 
+TABLE_FORMATS = [
+    f for f in FORMATS if formats.backend_for(f).limb_tables() is not None
+]
+
+
+def layer_plan(fmt, W, B, mode="rne", force_path=None):
+    """One identity layer compiled as a plan (optionally path-forced)."""
+    return NetworkKernel(
+        formats.backend_for(fmt), [(W, B, "identity")],
+        rounding_mode=mode, force_path=force_path,
+    )
+
+
 class TestKernelBitIdentity:
     @settings(max_examples=40, deadline=None)
     @given(
-        fmt_idx=st.integers(0, len(FORMATS) - 1),
+        fmt_idx=st.integers(0, len(TABLE_FORMATS) - 1),
         seed=st.integers(0, 2**31 - 1),
         out_dim=st.integers(1, 5),
         in_dim=st.integers(1, 14),
         batch=st.integers(0, 5),
         with_bias=st.booleans(),
+        mode=st.sampled_from(formats.ROUNDING_MODES),
     )
     def test_kernel_matches_reference(
-        self, fmt_idx, seed, out_dim, in_dim, batch, with_bias
+        self, scalar_dot, fmt_idx, seed, out_dim, in_dim, batch, with_bias, mode
     ):
-        """Compiled kernel == dot_reference for every format and shape."""
-        fmt = FORMATS[fmt_idx]
+        """dot_reference == the scalar oracle == the plan, in both modes.
+
+        The engine guard times ``dot_reference`` as its baseline, so it
+        stays pinned to the scalar EMACs here."""
+        fmt = TABLE_FORMATS[fmt_idx]
         rng = np.random.default_rng(seed)
         W, X, B = random_layer(fmt, rng, out_dim, in_dim, batch, with_bias)
-        kernel = formats.backend_for(fmt).compile_layer(W, B)
-        out = kernel(X)
+        engine = engine_for(fmt)
+        reference = engine.dot_reference(W, X, B, rounding_mode=mode)
+        assert np.array_equal(reference, scalar_dot(fmt, W, X, B, mode))
+        out = engine.dot(W, X, B, rounding_mode=mode)
         assert out.shape == (batch, out_dim)
         assert out.dtype == np.uint32
-        assert np.array_equal(out, engine_for(fmt).dot_reference(W, X, B))
+        assert np.array_equal(out, reference)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -93,12 +117,11 @@ class TestKernelBitIdentity:
         seed=st.integers(0, 2**31 - 1),
     )
     def test_kernel_matches_scalar_emac(self, fmt_idx, seed):
-        """Compiled kernel == one scalar EMAC per (sample, neuron)."""
+        """One-layer plan == one scalar EMAC per (sample, neuron)."""
         fmt = FORMATS[fmt_idx]
         rng = np.random.default_rng(seed)
         W, X, B = random_layer(fmt, rng, 3, 7, 2, True)
-        kernel = formats.backend_for(fmt).compile_layer(W, B)
-        out = kernel(X)
+        out = engine_for(fmt).dot(W, X, B)
         emac = scalar_emac_for(fmt)
         for i in range(X.shape[0]):
             for o in range(W.shape[0]):
@@ -111,114 +134,118 @@ class TestKernelBitIdentity:
 
     def test_empty_batch(self, any_fmt, rng):
         W, _, B = random_layer(any_fmt, rng, 3, 5, 1, True)
-        kernel = formats.backend_for(any_fmt).compile_layer(W, B)
-        out = kernel(np.empty((0, 5), dtype=np.uint32))
+        out = engine_for(any_fmt).dot(W, np.empty((0, 5), dtype=np.uint32), B)
         assert out.shape == (0, 3)
         assert out.dtype == np.uint32
 
-    def test_fan_in_one(self, any_fmt, rng):
+    def test_fan_in_one(self, any_fmt, rng, scalar_dot):
         W, X, B = random_layer(any_fmt, rng, 2, 1, 4, True)
-        kernel = formats.backend_for(any_fmt).compile_layer(W, B)
-        assert np.array_equal(kernel(X), engine_for(any_fmt).dot_reference(W, X, B))
+        assert np.array_equal(
+            engine_for(any_fmt).dot(W, X, B), scalar_dot(any_fmt, W, X, B)
+        )
 
-    def test_chunk_boundary_crossing(self, any_fmt, rng):
-        """Results must not depend on the batch-chunk size."""
+    def test_chunk_boundary_crossing(self, any_fmt, rng, monkeypatch):
+        """Results must not depend on the batch-chunk size, on any path."""
         W, X, B = random_layer(any_fmt, rng, 3, 9, 23, True)
-        backend = formats.backend_for(any_fmt)
-        full = backend.compile_layer(W, B)(X)
-        for cap in (1, 30, 100):
-            chunked = backend.compile_layer(W, B, chunk_elements=cap)(X)
-            assert np.array_equal(full, chunked), cap
+        paths = [None] + (["layer"] if any_fmt in TABLE_FORMATS else [])
+        for path in paths:
+            plan = layer_plan(any_fmt, W, B, force_path=path)
+            full = plan.forward(X)
+            for cap in (1, 30, 100):
+                monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", cap)
+                assert np.array_equal(plan.forward(X), full), (path, cap)
+            monkeypatch.undo()
 
     def test_chunk_cap_monkeypatched(self, rng, monkeypatch):
-        """Kernels read the module chunk cap at call time."""
-        from repro.formats import kernels as kmod
-
+        """Plans and the limb kernel read the module chunk cap at call time."""
         fmt = standard_format(8, 1)
         W, X, B = random_layer(fmt, rng, 3, 9, 17, True)
-        kernel = formats.backend_for(fmt).compile_layer(W, B)
-        full = kernel(X)
-        monkeypatch.setattr(kmod, "_CHUNK_ELEMENTS", 25)
-        assert np.array_equal(kernel(X), full)
+        for path in (None, "layer"):
+            plan = layer_plan(fmt, W, B, force_path=path)
+            full = plan.forward(X)
+            monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 25)
+            assert np.array_equal(plan.forward(X), full), path
+            monkeypatch.undo()
 
-    def test_all_zero_weights(self, any_fmt):
+    def test_all_zero_weights(self, any_fmt, scalar_dot):
         """Every digit plane pruned: output is the rounded bias alone."""
-        zero = np.uint32(0)
-        W = np.full((3, 6), zero, dtype=np.uint32)
+        W = np.zeros((3, 6), dtype=np.uint32)
         X = np.zeros((4, 6), dtype=np.uint32)
         B = np.zeros(3, dtype=np.uint32)
-        kernel = formats.backend_for(any_fmt).compile_layer(W, B)
-        assert np.array_equal(
-            kernel(X), engine_for(any_fmt).dot_reference(W, X, B)
-        )
+        expected = scalar_dot(any_fmt, W, X, B)
+        paths = [None] + (["layer"] if any_fmt in TABLE_FORMATS else [])
+        for path in paths:
+            out = layer_plan(any_fmt, W, B, force_path=path).forward(X)
+            assert np.array_equal(out, expected), path
 
     def test_single_live_weight_plane(self, rng):
         """Weights confined to low digit planes leave high planes all-zero."""
         fmt = standard_format(8, 1)
-        backend = formats.backend_for(fmt)
         engine = engine_for(fmt)
         # Tiny-magnitude weights: digits live in the lowest plane only.
         W = engine.quantize(rng.uniform(1e-6, 1e-5, size=(3, 8)))
         X = scrub(fmt, rng.integers(0, 256, size=(5, 8), dtype=np.uint32))
         B = engine.quantize(rng.uniform(-0.1, 0.1, size=3))
-        kernel = backend.compile_layer(W, B)
-        assert np.array_equal(kernel(X), engine.dot_reference(W, X, B))
+        reference = engine.dot_reference(W, X, B)
+        for path in (None, "layer"):
+            out = layer_plan(fmt, W, B, force_path=path).forward(X)
+            assert np.array_equal(out, reference), path
 
-    def test_extreme_weights_fall_back_bit_identically(self, rng):
-        """maxpos-heavy weights leave the single-word fast path; the
-        stacked-GEMM fallbacks must stay bit-identical."""
+    def test_extreme_weights_fall_back_bit_identically(self, rng, scalar_dot):
+        """maxpos-heavy weights leave the single-word fast paths; the limb
+        kernel must stay bit-identical."""
         fmt = standard_format(8, 2)
-        backend = formats.backend_for(fmt)
         hi = 1 << fmt.n
         W = scrub(fmt, rng.integers(0, hi, size=(4, 10), dtype=np.uint32))
         W[0, 0] = fmt.maxpos_pattern
         X = scrub(fmt, rng.integers(0, hi, size=(6, 10), dtype=np.uint32))
         B = scrub(fmt, rng.integers(0, hi, size=(4,), dtype=np.uint32))
-        kernel = backend.compile_layer(W, B)
-        assert not kernel._word_mode  # posit8_2's range forces the limb path
-        assert np.array_equal(kernel(X), engine_for(fmt).dot_reference(W, X, B))
+        plan = layer_plan(fmt, W, B)
+        # posit8_2's range forces the limb path
+        assert [row["path"] for row in plan.explain()] == ["layer"]
+        out = plan.forward(X)
+        assert np.array_equal(out, engine_for(fmt).dot_reference(W, X, B))
+        assert np.array_equal(out, scalar_dot(fmt, W, X, B))
 
-    def test_stacked_word_mode_without_plane_major(self):
+    def test_single_word_layer_too_wide_for_plane(self):
         """A near-maxpos posit8_1 row keeps the quire inside one int64 but
-        is too wide for unsplit weights: the stacked word branch runs."""
+        is too wide for unsplit float64 weights: the layer takes int64."""
         fmt = standard_format(8, 1)
-        backend = formats.backend_for(fmt)
         W = np.zeros((2, 40), dtype=np.uint32)
         W[:, 0] = fmt.maxpos_pattern
         rng = np.random.default_rng(9)
         X = scrub(fmt, rng.integers(0, 256, size=(20, 40), dtype=np.uint32))
-        kernel = backend.compile_layer(W, None)
-        assert kernel._word_mode and not kernel._plane_major
-        assert np.array_equal(kernel(X), engine_for(fmt).dot_reference(W, X))
+        plan = layer_plan(fmt, W, None)
+        (row,) = plan.explain()
+        assert row["eligible"] == ["int64", "layer"]
+        assert row["path"] == "int64"
+        assert np.array_equal(plan.forward(X), engine_for(fmt).dot_reference(W, X))
 
     def test_fan_in_split_accumulation(self, rng):
         """Fan-in past the float64-exactness bound forces multiple GEMM
         splits with int64 accumulation; still bit-identical."""
         fmt = standard_format(8, 1)
-        backend = formats.backend_for(fmt)
         in_dim = 5000  # > 2**(53 - 2*LIMB_BITS) / live_weight_planes
         W = scrub(fmt, rng.integers(0, 256, size=(2, in_dim), dtype=np.uint32))
         X = scrub(fmt, rng.integers(0, 256, size=(3, in_dim), dtype=np.uint32))
         B = scrub(fmt, rng.integers(0, 256, size=(2,), dtype=np.uint32))
-        kernel = backend.compile_layer(W, B)
-        assert len(kernel._splits) > 1
-        assert np.array_equal(kernel(X), engine_for(fmt).dot_reference(W, X, B))
-        fmt = standard_format(8, 1)
-        backend = formats.backend_for(fmt)
+        plan = layer_plan(fmt, W, B, force_path="layer")
+        assert len(plan.steps[0].kernel._splits) > 1
+        assert np.array_equal(
+            plan.forward(X), engine_for(fmt).dot_reference(W, X, B)
+        )
         bad = np.full((1, 2), fmt.nar_pattern, dtype=np.uint32)
         good = np.zeros((1, 2), dtype=np.uint32)
         with pytest.raises(ValueError):
-            backend.compile_layer(bad)
-        kernel = backend.compile_layer(good)
+            layer_plan(fmt, bad, None)
+        plan = layer_plan(fmt, good, None, force_path="layer")
         with pytest.raises(ValueError):
-            kernel(bad)
+            plan.forward(bad)
 
     def test_fan_in_mismatch_rejected(self, any_fmt):
-        kernel = formats.backend_for(any_fmt).compile_layer(
-            np.zeros((2, 3), dtype=np.uint32)
-        )
+        plan = layer_plan(any_fmt, np.zeros((2, 3), dtype=np.uint32), None)
         with pytest.raises(ValueError):
-            kernel(np.zeros((2, 4), dtype=np.uint32))
+            plan.forward(np.zeros((2, 4), dtype=np.uint32))
 
 
 class TestRankTable:
@@ -256,28 +283,28 @@ class TestNetworkLevel:
         return trained_model("iris")
 
     @pytest.mark.parametrize("name", ["posit8_1", "float4_3", "fixed8_4"])
-    def test_compiled_network_matches_reference_paths(self, iris, name):
+    def test_compiled_network_matches_reference_paths(
+        self, iris, name, scalar_forward
+    ):
         """Full golden-pinned iris parent deployed at 8 bits: the compiled
-        forward equals the PR 1 engine path sample-for-sample, and the
-        scalar EMAC path on a sample subset."""
+        forward equals the scalar EMAC path sample-for-sample, and (table
+        formats) the PR 1 engine path."""
         backend = formats.get(name)
         weights, biases = iris.model.export_params()
         net = PositronNetwork.from_float_params(backend.fmt, weights, biases)
         X = net.engine.quantize(np.asarray(iris.dataset.test_x, dtype=np.float64))
 
         compiled = net.forward_patterns(X)
-        reference = X
-        for layer in net.layers:
-            reference = net.engine.dot_reference(
-                layer.weights, reference, layer.bias
-            )
-            if layer.activation == "relu":
-                reference = net.engine.relu(reference)
-        assert np.array_equal(compiled, reference)
-
-        for i in range(0, X.shape[0], 16):
-            scalar = net.forward_scalar([int(p) for p in X[i]])
-            assert [int(p) for p in compiled[i]] == scalar
+        assert np.array_equal(compiled, scalar_forward(net, X))
+        if backend.limb_tables() is not None:
+            reference = X
+            for layer in net.layers:
+                reference = net.engine.dot_reference(
+                    layer.weights, reference, layer.bias
+                )
+                if layer.activation == "relu":
+                    reference = net.engine.relu(reference)
+            assert np.array_equal(compiled, reference)
 
     def test_predict_patterns_matches_decoded_argmax(self, iris):
         backend = formats.get("posit8_1")

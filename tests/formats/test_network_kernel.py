@@ -1,15 +1,17 @@
-"""Bit-identity of the fused whole-network kernels.
+"""Bit-identity of the fused network plans against the scalar oracle.
 
-The fused :class:`~repro.formats.network.NetworkKernel` must reproduce the
-layer-by-layer compiled forward (kernel + engine ReLU per layer) and the
-scalar EMAC reference, bit for bit, for every registered format, both
-rounding modes, and every words path forced on — including the oracle-built
-round table against ``encode_from_quire_words`` over the whole single-word
-window, its O(1) bucket index against plain ``searchsorted``, and the
-pattern-space ReLU composition against ``engine.relu`` on every valid
-pattern.  Shape edges (empty batches, single rows, fan-in 1) are covered
-per forced path.  The default plan's path per layer is a fixed rule, the
-same in every process.
+The fused :class:`~repro.formats.network.NetworkKernel` is the one
+production path for exact dot products.  One differential property suite
+pins it to the scalar EMACs (``forward_scalar`` for rne; the EMAC's exact
+accumulation rounded by ``truncate_scalar`` for rtz, with pattern ReLU
+between layers), bit for bit, over random 1-3-layer topologies, every
+format of ``FORMATS``, both rounding modes, maxpos-heavy weights that overflow
+the int64 quire, and every words path forced on.  Around it: the
+oracle-built round table against ``encode_from_quire_words`` over the whole
+single-word window, its O(1) bucket index against plain ``searchsorted``,
+the pattern-space ReLU composition against ``engine.relu`` on every valid
+pattern, shape edges per forced path, and input rejection.  The default
+plan's path per layer is a fixed rule, the same in every process.
 """
 
 import multiprocessing
@@ -35,6 +37,7 @@ from repro.posit.format import standard_format
 
 FORMATS = [
     standard_format(6, 0),
+    standard_format(7, 2),
     standard_format(8, 0),
     standard_format(8, 1),
     standard_format(8, 2),
@@ -71,14 +74,20 @@ def table_fmt(request):
     return TABLE_FORMATS[request.param]
 
 
-def random_network(fmt, rng, topo, batch, rounding_mode="rne"):
-    """(layer triples, input patterns, PositronNetwork) on random params."""
+def random_network(fmt, rng, topo, batch, rounding_mode="rne", maxpos=False):
+    """(layer triples, input patterns, PositronNetwork) on random params.
+
+    ``maxpos`` sets about a fifth of the weights to the format's largest
+    value, which pushes wide-range formats past the int64 quire bound.
+    """
     hi = 1 << fmt.n
+    largest = formats.backend_for(fmt).quantize_batch(np.asarray([1e30]))[0]
     weights, biases = [], []
     for i, o in zip(topo, topo[1:]):
-        weights.append(
-            scrub(fmt, rng.integers(0, hi, size=(o, i), dtype=np.uint32))
-        )
+        W = scrub(fmt, rng.integers(0, hi, size=(o, i), dtype=np.uint32))
+        if maxpos:
+            W[rng.random(size=W.shape) < 0.2] = largest
+        weights.append(W)
         biases.append(
             scrub(fmt, rng.integers(0, hi, size=(o,), dtype=np.uint32))
         )
@@ -197,33 +206,34 @@ class TestRoundTable:
 
 
 class TestFusedBitIdentity:
-    @settings(max_examples=25, deadline=None)
+    @pytest.mark.parametrize("fmt", FORMATS, ids=str)
+    @settings(max_examples=15, deadline=None)
     @given(
-        fmt_idx=st.integers(0, len(FORMATS) - 1),
         seed=st.integers(0, 2**31 - 1),
-        hidden=st.integers(1, 6),
-        out_dim=st.integers(1, 4),
-        in_dim=st.integers(1, 10),
+        topo=st.lists(st.integers(1, 14), min_size=2, max_size=4),
         batch=st.integers(0, 6),
-        mode_idx=st.integers(0, 1),
+        mode=st.sampled_from(formats.ROUNDING_MODES),
+        maxpos=st.booleans(),
     )
-    def test_fused_equals_layered_all_paths(
-        self, fmt_idx, seed, hidden, out_dim, in_dim, batch, mode_idx
+    def test_plans_match_scalar_oracle(
+        self, scalar_forward, fmt, seed, topo, batch, mode, maxpos
     ):
-        """Fused plan == per-layer kernels for every forced path and mode."""
-        fmt = FORMATS[fmt_idx]
-        mode = formats.ROUNDING_MODES[mode_idx]
+        """Every plan == the scalar oracle: each format, mode and path.
+
+        The default plan and every path ``force_path`` can build run the
+        same random network; outputs and rank-argmax readouts must equal
+        the scalar EMACs'."""
         backend = formats.backend_for(fmt)
         rng = np.random.default_rng(seed)
         layers, X, net = random_network(
-            fmt, rng, (in_dim, hidden, out_dim), batch, rounding_mode=mode
+            fmt, rng, tuple(topo), batch, rounding_mode=mode, maxpos=maxpos
         )
-        expected = net.forward_patterns_layers(X)
+        expected = scalar_forward(net, X)
         ranks = backend.rank_table()
         expected_pred = np.argmax(ranks[expected.astype(np.int64)], axis=1)
         for path, plan in forced_plans(backend, layers, mode):
             out = plan.forward(X)
-            assert out.shape == (batch, out_dim), path
+            assert out.shape == (batch, topo[-1]), path
             assert np.array_equal(out, expected), (path, mode)
             pred = plan.predict(X)
             assert pred.shape == (batch,), path
@@ -237,9 +247,9 @@ class TestFusedBitIdentity:
     def test_fused_equals_forward_scalar(self, fmt_idx, seed):
         """Fused plan == one scalar EMAC per neuron, per forced path.
 
-        The scalar EMACs are the RNE reference datapath (the rtz ablation
-        has its own scalar oracle, ``truncate_scalar``), so this pins the
-        rne plans; rtz bit-identity rides the layered comparison above.
+        A fixed (5, 3, 2) topology under ``forward_scalar`` itself, the
+        rne oracle; both modes and random topologies ride
+        :meth:`test_plans_match_scalar_oracle` above.
         """
         fmt = FORMATS[fmt_idx]
         backend = formats.backend_for(fmt)
@@ -252,7 +262,9 @@ class TestFusedBitIdentity:
         for path, plan in forced_plans(backend, layers, "rne"):
             assert np.array_equal(plan.forward(X), expected), path
 
-    def test_relu_table_matches_engine_on_every_valid_pattern(self, any_fmt):
+    def test_relu_table_matches_engine_on_every_valid_pattern(
+        self, any_fmt, scalar_dot
+    ):
         """Pattern-space ReLU composition == engine.relu, all valid patterns.
 
         Exercised through a 1x1 identity-weight layer whose quire holds the
@@ -271,13 +283,11 @@ class TestFusedBitIdentity:
         W = np.full((1, 1), one, dtype=np.uint32)
         B = np.full(1, zero, dtype=np.uint32)
         X = valid.reshape(-1, 1)
-        expected = engine.relu(
-            backend.compile_layer(W, B)(X)
-        )
+        expected = engine.relu(scalar_dot(any_fmt, W, X, B))
         for path, plan in forced_plans(backend, [(W, B, "relu")], "rne"):
             assert np.array_equal(plan.forward(X), expected), path
 
-    def test_empty_and_single_row_every_path(self, any_fmt):
+    def test_empty_and_single_row_every_path(self, any_fmt, scalar_forward):
         """(0, in) and (1, in) inputs keep exact shapes on every path."""
         backend = formats.backend_for(any_fmt)
         rng = np.random.default_rng(5)
@@ -291,7 +301,7 @@ class TestFusedBitIdentity:
             assert plan.predict(empty).shape == (0,), path
             out1 = plan.forward(single)
             assert out1.shape == (1, 2), path
-            assert np.array_equal(out1, net.forward_patterns_layers(single))
+            assert np.array_equal(out1, scalar_forward(net, single)), path
             pred1 = plan.predict(single)
             assert pred1.shape == (1,), path
 
@@ -348,14 +358,23 @@ class TestPlanCompile:
             assert row["table_bytes"] >= 0
             assert row["activation"] in ("relu", "identity")
 
-    def test_layer_kernels_shape_checked(self, any_fmt):
+    def test_empty_layer_stack_rejected(self, any_fmt):
         backend = formats.backend_for(any_fmt)
-        rng = np.random.default_rng(8)
-        layers, _, _ = random_network(any_fmt, rng, (4, 3, 2), 1)
-        with pytest.raises(ValueError, match="per layer"):
-            NetworkKernel(backend, layers, layer_kernels=[None])
         with pytest.raises(ValueError, match="at least one layer"):
             NetworkKernel(backend, [])
+
+    def test_family_without_limb_tables_or_fixed_point_rejected(self):
+        """A backend that is neither table-driven nor fixed point has no
+        path for its dot products; compiling names it."""
+
+        class TablelessBackend(formats.FloatBackend):
+            def limb_tables(self):
+                return None
+
+        backend = TablelessBackend(float_format(4, 3))
+        layers = [(np.zeros((2, 3), dtype=np.uint32), None, "identity")]
+        with pytest.raises(TypeError, match=backend.name):
+            backend.compile_network(layers)
 
 
 class TestFixedRule:

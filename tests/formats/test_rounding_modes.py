@@ -4,8 +4,9 @@
 must be bit-identical to ``truncate_scalar`` — the exact ``Fraction``
 reference the scalar rounding-mode ablation used — for every registered
 format: negatives, exact-boundary ties, signed zero, saturation, empty
-batches, and both the limb and single-word entry points.  The compiled
-layer kernels must carry the mode through every fast path.
+batches, and both the limb and single-word entry points.  One-layer plans
+and the engines must carry the mode through (every plan path is covered
+in both modes by the differential suite in ``test_network_kernel.py``).
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import formats
-from repro.core import engine_for, scalar_emac_for
+from repro.core import engine_for
 from repro.core.accumulator import LIMB_BITS, combine_limbs
 from repro.core.positron import PositronNetwork
 from repro.fixedpoint import fixed_format
@@ -210,8 +211,9 @@ def test_unknown_mode_rejected_everywhere():
     with pytest.raises(ValueError, match="rounding mode"):
         backend.encode_from_quire_words(np.zeros(1, dtype=np.int64), mode="up")
     with pytest.raises(ValueError, match="rounding mode"):
-        backend.compile_layer(
-            np.zeros((1, 1), dtype=np.uint32), rounding_mode="tie"
+        backend.compile_network(
+            [(np.zeros((1, 1), dtype=np.uint32), None, "identity")],
+            rounding_mode="tie",
         )
     with pytest.raises(ValueError, match="rounding mode"):
         engine_for(fixed_format(8, 4)).dot(
@@ -222,7 +224,7 @@ def test_unknown_mode_rejected_everywhere():
 
 
 # ----------------------------------------------------------------------
-# Compiled kernels carry the mode through every fast path
+# One-layer plans and the engines carry the mode through
 # ----------------------------------------------------------------------
 def scrub(fmt, patterns):
     backend = formats.backend_for(fmt)
@@ -231,20 +233,6 @@ def scrub(fmt, patterns):
     if tables is not None:
         p = np.where(tables.invalid[p.astype(np.int64)], 0, p)
     return p.astype(np.uint32)
-
-
-def scalar_truncated_dot(fmt, W, X, B):
-    """Per-neuron scalar EMAC accumulation + ``truncate_scalar`` oracle."""
-    backend = formats.backend_for(fmt)
-    emac = scalar_emac_for(fmt)
-    out = np.zeros((X.shape[0], W.shape[0]), dtype=np.uint32)
-    for s in range(X.shape[0]):
-        for o in range(W.shape[0]):
-            emac.reset(None if B is None else int(B[o]))
-            for w, a in zip(W[o], X[s]):
-                emac.step(int(w), int(a))
-            out[s, o] = backend.truncate_scalar(emac.accumulator_value())
-    return out
 
 
 @pytest.mark.parametrize(
@@ -258,53 +246,23 @@ def scalar_truncated_dot(fmt, W, X, B):
     ],
     ids=str,
 )
-def test_kernel_rtz_matches_scalar_oracle(fmt, rng):
+def test_kernel_rtz_matches_scalar_oracle(fmt, rng, scalar_dot):
     backend = formats.backend_for(fmt)
     hi = 1 << fmt.n
     W = scrub(fmt, rng.integers(0, hi, size=(3, 7), dtype=np.uint32))
     X = scrub(fmt, rng.integers(0, hi, size=(5, 7), dtype=np.uint32))
     B = scrub(fmt, rng.integers(0, hi, size=(3,), dtype=np.uint32))
-    kernel = backend.compile_layer(W, B, rounding_mode="rtz")
-    assert kernel.rounding_mode == "rtz"
-    assert np.array_equal(kernel(X), scalar_truncated_dot(fmt, W, X, B))
-    # The one-shot engine path and the retained reference nest agree too.
+    plan = backend.compile_network([(W, B, "identity")], rounding_mode="rtz")
+    assert plan.rounding_mode == "rtz"
+    expected = scalar_dot(fmt, W, X, B, "rtz")
+    assert np.array_equal(plan.forward(X), expected)
+    # The engine path and (table formats) the retained reference nest agree.
     engine = engine_for(fmt)
-    got = engine.dot(W, X, B, rounding_mode="rtz")
-    assert np.array_equal(got, engine.dot_reference(W, X, B, rounding_mode="rtz"))
-    assert np.array_equal(got, kernel(X))
-
-
-def test_kernel_rtz_covers_word_stacked_and_limb_modes(rng):
-    """The three table-kernel execution modes all honour the mode flag."""
-    # Plane-major single-word (the steady state for trained models).
-    fmt = standard_format(8, 1)
-    backend = formats.backend_for(fmt)
-    engine = engine_for(fmt)
-    W = engine.quantize(rng.uniform(-1, 1, size=(3, 6)))
-    B = engine.quantize(rng.uniform(-0.5, 0.5, size=3))
-    X = scrub(fmt, rng.integers(0, 256, size=(4, 6), dtype=np.uint32))
-    k = backend.compile_layer(W, B, rounding_mode="rtz")
-    assert k._plane_major
-    assert np.array_equal(k(X), scalar_truncated_dot(fmt, W, X, B))
-
-    # Stacked word mode (near-maxpos rows, quire still fits int64).
-    W2 = np.zeros((2, 40), dtype=np.uint32)
-    W2[:, 0] = fmt.maxpos_pattern
-    X2 = scrub(fmt, rng.integers(0, 256, size=(6, 40), dtype=np.uint32))
-    k2 = backend.compile_layer(W2, None, rounding_mode="rtz")
-    assert k2._word_mode and not k2._plane_major
-    assert np.array_equal(k2(X2), scalar_truncated_dot(fmt, W2, X2, None))
-
-    # Generic limb path (posit8_2 maxpos rows overflow the word bound).
-    fmt3 = standard_format(8, 2)
-    backend3 = formats.backend_for(fmt3)
-    W3 = scrub(fmt3, rng.integers(0, 256, size=(2, 5), dtype=np.uint32))
-    W3[0, 0] = fmt3.maxpos_pattern
-    X3 = scrub(fmt3, rng.integers(0, 256, size=(4, 5), dtype=np.uint32))
-    B3 = scrub(fmt3, rng.integers(0, 256, size=(2,), dtype=np.uint32))
-    k3 = backend3.compile_layer(W3, B3, rounding_mode="rtz")
-    assert not k3._word_mode
-    assert np.array_equal(k3(X3), scalar_truncated_dot(fmt3, W3, X3, B3))
+    assert np.array_equal(engine.dot(W, X, B, rounding_mode="rtz"), expected)
+    if backend.limb_tables() is not None:
+        assert np.array_equal(
+            engine.dot_reference(W, X, B, rounding_mode="rtz"), expected
+        )
 
 
 def test_network_rounding_mode_threads_through_layers(rng):
@@ -323,7 +281,7 @@ def test_network_rounding_mode_threads_through_layers(rng):
     assert twin.engine is net.engine
     for layer in twin.layers:
         assert layer.rounding_mode == "rtz"
-        assert layer._kernel.rounding_mode == "rtz"
+    assert twin.network_kernel().rounding_mode == "rtz"
     x = rng.uniform(-2, 2, size=(9, 3))
     patterns = engine.quantize(x)
     rne_out = net.forward_patterns(patterns)
@@ -342,6 +300,12 @@ def test_network_rounding_mode_threads_through_layers(rng):
     layer = net.layers[0]
     layer.rounding_mode = "rtz"
     layer.recompile()
-    assert layer._kernel.rounding_mode == "rtz"
+    rtz_hidden = engine.relu(
+        engine.dot(layer.weights, patterns, layer.bias, rounding_mode="rtz")
+    )
+    assert np.array_equal(layer.forward(patterns), rtz_hidden)
+    layer.rounding_mode = "up"
+    with pytest.raises(ValueError, match="rounding mode"):
+        layer.recompile()
     layer.rounding_mode = "rne"
     layer.recompile()

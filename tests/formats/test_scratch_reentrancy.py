@@ -1,11 +1,11 @@
-"""Scratch-pool reentrancy: kernels shared across threads stay bit-exact.
+"""Scratch-pool reentrancy: plans shared across threads stay bit-exact.
 
-The format registry memoizes backends, engines, and compiled kernels per
-format key, and the serving layer runs batches on executor threads — so two
-forward passes through the *same* kernel objects can be in flight at once.
-The scratch pool is per-thread (``kernels._scratch``); these tests pin down
-that two interleaved kernel runs never corrupt each other's staging/GEMM
-buffers, which a process-global pool would allow.
+The format registry memoizes backends and engines per format key, a
+network caches its compiled plan, and the serving layer runs batches on
+executor threads — so two forward passes through the *same* plan can be in
+flight at once.  The scratch pool is per-thread (``kernels._scratch``);
+these tests pin down that two interleaved plan runs never corrupt each
+other's word/staging/GEMM buffers, which a process-global pool would allow.
 """
 
 from __future__ import annotations
@@ -30,31 +30,40 @@ def _layer_case(backend, rng, out_dim=7, in_dim=11, batch=64):
 
 
 @pytest.mark.parametrize("names", [("posit8_1", "posit8_1"), ("posit8_1", "float4_3")])
-def test_interleaved_kernel_runs_are_bit_identical(names, rng):
-    """Two threads hammering (same or different) kernels match serial runs."""
-    cases = []
-    for name in names:
+def test_interleaved_kernel_runs_are_bit_identical(names, rng, monkeypatch):
+    """Two threads hammering (one shared or two) plans match serial runs.
+
+    Each format gets one plan per words path it runs here (the default
+    ``int64`` and the forced ``layer`` limb kernel); equal names share
+    every plan object between the threads."""
+    # Tiny chunk cap: many chunks per call widens the window in which a
+    # shared pool would hand both threads the same buffer.
+    monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 256)
+    cases = {}
+    for name in dict.fromkeys(names):
         backend = formats.get(name)
         weights, bias, acts = _layer_case(backend, rng)
-        # Tiny chunk cap: many chunks per call widens the window in which a
-        # shared pool would hand both threads the same buffer.
-        kernel = backend.compile_layer(weights, bias, chunk_elements=64)
-        cases.append((kernel, acts, kernel(acts).copy()))
+        layers = [(weights, bias, "identity")]
+        plans = [
+            backend.compile_network(layers),
+            formats.NetworkKernel(backend, layers, force_path="layer"),
+        ]
+        cases[name] = [(plan, acts, plan.forward(acts).copy()) for plan in plans]
 
-    barrier = threading.Barrier(len(cases))
+    barrier = threading.Barrier(len(names))
     failures: list[str] = []
 
-    def worker(kernel, acts, expected, tag):
+    def worker(runs, tag):
         barrier.wait()
-        for _ in range(50):
-            got = kernel(acts)
-            if not np.array_equal(got, expected):
-                failures.append(f"{tag}: interleaved run diverged")
-                return
+        for _ in range(25):
+            for plan, acts, expected in runs:
+                if not np.array_equal(plan.forward(acts), expected):
+                    failures.append(f"{tag}: interleaved run diverged")
+                    return
 
     threads = [
-        threading.Thread(target=worker, args=(k, a, e, names[i]))
-        for i, (k, a, e) in enumerate(cases)
+        threading.Thread(target=worker, args=(cases[name], name))
+        for name in names
     ]
     for t in threads:
         t.start()

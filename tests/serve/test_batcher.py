@@ -130,14 +130,17 @@ class TestBatchLimits:
 class TestFusedServingIdentity:
     def test_served_answers_match_per_layer_oracle(self, toy_inputs):
         """Served predictions ride the fused network plan (warmed at model
-        load) and must stay bit-identical to the pre-fusion per-layer
-        kernel path's rank-space argmax."""
+        load) and must stay bit-identical to the rank-space argmax of the
+        scalar EMAC oracle, run one layer at a time."""
         model = toy_model()
         # build_served_model compiled the fused plan off the request path.
         assert model.network._network_plan is not None
         x = toy_inputs(9)
         patterns = model.quantize(x)
-        out = model.network.forward_patterns_layers(patterns)
+        out = np.asarray(
+            [model.network.forward_scalar(row) for row in patterns],
+            dtype=np.uint32,
+        )
         ranks = formats.backend_for(model.network.fmt).rank_table()
         expected = np.argmax(ranks[out.astype(np.int64)], axis=1)
 

@@ -8,7 +8,12 @@ it — the same embedding the example and the throughput benchmark use.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,9 @@ from repro.serve import (
 from repro.serve.registry import build_served_model
 
 from .conftest import tiny_loader
+
+#: The package sources, for CLI subprocesses.
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -181,26 +189,50 @@ class TestErrorPaths:
             conn.close()
 
 
+BAD_KNOBS = [
+    {"max_batch": 0},
+    {"max_delay_ms": -1.0},
+    {"max_delay_ms": float("nan")},
+    {"max_delay_ms": float("inf")},
+    {"queue_limit": 0},
+    {"executor_workers": 0},
+    {"submit_timeout_s": 0.0},
+    {"submit_timeout_s": float("nan")},
+    {"submit_timeout_s": float("inf")},
+]
+
+
 class TestConstruction:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_batch": 0},
-            {"max_delay_ms": -1.0},
-            {"max_delay_ms": float("nan")},
-            {"max_delay_ms": float("inf")},
-            {"queue_limit": 0},
-            {"executor_workers": 0},
-            {"submit_timeout_s": 0.0},
-            {"submit_timeout_s": float("nan")},
-            {"submit_timeout_s": float("inf")},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", BAD_KNOBS)
     def test_bad_knobs_rejected_at_startup(self, kwargs):
         from repro.serve import InferenceServer
 
         with pytest.raises(ValueError):
             InferenceServer(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", BAD_KNOBS)
+    def test_pool_rejects_bad_knobs_before_spawning(self, kwargs):
+        """The worker pool runs the server's own knob check up front, so a
+        bad knob never reaches a worker process."""
+        from repro.serve.pool import WorkerPool
+
+        before = multiprocessing.active_children()
+        with pytest.raises(ValueError):
+            WorkerPool(server_kwargs=kwargs)
+        assert multiprocessing.active_children() == before
+
+    def test_cli_pool_bad_knob_exits_cleanly(self):
+        """``serve --workers-procs 2`` with a bad knob answers like the
+        single-process mode: one ``error:`` line and exit 2, at once."""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--workers-procs", "2",
+             "--max-delay-ms", "nan", "--port", "0"],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "error: max_delay_ms must be a finite number >= 0" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestConcurrentLoad:
