@@ -14,8 +14,8 @@ Building a layer only validates its parameters; nothing is compiled until
 the first whole-network call.  ``forward_patterns`` / ``predict_patterns``
 then ride a cached fused plan (:meth:`PositronNetwork.network_kernel`,
 :mod:`repro.formats.network`) that chains the layers through fused
-round-once / pattern-ReLU / operand-gather epilogues with a fixed integer
-fast path per layer.
+round-once / pattern-ReLU / operand-gather epilogues with a fixed words
+path per layer.
 
 Two execution paths produce identical bits:
 
@@ -51,6 +51,18 @@ _ACTIVATIONS = ("relu", "identity")
 _EPOCHS = itertools.count(1)
 
 
+def _common_mode(layers, requested: str | None = None) -> str:
+    """The one rounding mode of ``layers`` (and ``requested``); a mismatch
+    is the caller's to resolve, never a silent recompile of their layers."""
+    modes = {layer.rounding_mode for layer in layers} | {requested} - {None}
+    if len(modes) != 1:
+        raise ValueError(
+            f"inconsistent rounding modes {sorted(modes)}; construct "
+            "layers with the desired mode or use with_rounding_mode()"
+        )
+    return modes.pop()
+
+
 def scalar_emac_for(fmt) -> Emac:
     """Reference scalar EMAC for any registered format."""
     return formats.backend_for(fmt).make_scalar_emac()
@@ -75,9 +87,9 @@ class PositronLayer:
     rounding_mode:
         Round-once output stage of every EMAC in the layer: ``"rne"``
         (default) or ``"rtz"`` (round toward zero, the truncated-EMAC
-        ablation).  :meth:`forward` rounds in it; a network's plan rounds
-        in the network's own mode (see
-        :meth:`PositronNetwork.with_rounding_mode`).
+        ablation).  :meth:`forward` rounds in it, and so does the plan of
+        a network whose layers all share it (see
+        :attr:`PositronNetwork.rounding_mode`).
     """
 
     fmt: object
@@ -180,19 +192,9 @@ class PositronNetwork:
         self.fmt = fmt
         self.layers = list(layers)
         self.engine = layers[0].engine
-        modes = {layer.rounding_mode for layer in self.layers}
         if rounding_mode is not None:
             formats.check_rounding_mode(rounding_mode)
-            modes.add(rounding_mode)
-        if len(modes) != 1:
-            # Never silently recompile caller-owned layers: a mismatch is
-            # the caller's to resolve (build the layers with the mode, or
-            # use with_rounding_mode on a finished network).
-            raise ValueError(
-                f"inconsistent rounding modes {sorted(modes)}; construct "
-                "layers with the desired mode or use with_rounding_mode()"
-            )
-        self.rounding_mode = modes.pop()
+        _common_mode(self.layers, rounding_mode)
         self._mode_twins: dict[str, "PositronNetwork"] = {}
         self._network_plan = None  # (epoch signature, fused NetworkKernel)
 
@@ -250,7 +252,7 @@ class PositronNetwork:
         if rounding_mode == self.rounding_mode:
             return self
         twin = self._mode_twins.get(rounding_mode)
-        if twin is None:
+        if twin is None or twin.rounding_mode != rounding_mode:
             layers = [
                 PositronLayer(
                     self.fmt,
@@ -271,6 +273,11 @@ class PositronNetwork:
 
     # ------------------------------------------------------------------
     @property
+    def rounding_mode(self) -> str:
+        """The layers' common round-once mode, which the plan compiles in."""
+        return _common_mode(self.layers)
+
+    @property
     def topology(self) -> tuple[int, ...]:
         """(inputs, hidden..., outputs) neuron counts."""
         return (self.layers[0].in_features,) + tuple(
@@ -280,22 +287,24 @@ class PositronNetwork:
     def recompile(self) -> None:
         """Recompile every layer (and cached mode twins') in place.
 
-        Call after mutating any layer's ``weights``/``bias`` arrays.  The
-        fresh layer epochs invalidate the cached fused network plans
-        (:meth:`network_kernel`) of this network and its twins, so the next
-        ``forward_patterns`` / ``predict_patterns`` recompiles them.
+        Call after mutating any layer's ``weights``/``bias``/``rounding_mode``
+        (modes must still agree).  The fresh layer epochs invalidate the
+        cached fused plans (:meth:`network_kernel`) of this network and its
+        twins, so the next ``forward_patterns`` / ``predict_patterns``
+        recompiles them.
         """
         for layer in self.layers:
             layer.recompile()
         for twin in self._mode_twins.values():
             for layer in twin.layers:
                 layer.recompile()
+        _common_mode(self.layers)
 
     def network_kernel(self):
         """The whole network compiled into one fused plan, cached.
 
         Chains every layer through fused round-once / pattern-space ReLU /
-        operand-gather epilogues with a fixed integer fast path per layer
+        operand-gather epilogues with a fixed words path per layer
         (see :mod:`repro.formats.network`).  The first call is the
         network's only compile.  The cache is keyed by the layers' epochs,
         so any :meth:`PositronLayer.recompile` — a weight mutation, a

@@ -8,8 +8,8 @@ results with numpy:
   ``(weights, bias)`` into a one-layer fused plan
   (:meth:`~repro.formats.NumericFormat.compile_network`,
   :mod:`repro.formats.network`) and runs it — the same production path a
-  whole network's forward takes, with its per-layer integer fast paths and
-  its one wide-quire fallback;
+  whole network's forward takes, with its exact float64 digit-plane GEMMs
+  and its one wide-quire fallback;
 * ``TableVectorEngine.dot_reference`` retains the PR 1 path: every
   pattern's exact aligned value ``(-1)**sign * sig << shift`` decomposed
   into signed base-``2**LIMB_BITS`` digits, one float64 matmul per (l, m)
@@ -115,7 +115,7 @@ def _validate_shapes(weights: np.ndarray, activations: np.ndarray, bias) -> None
 
 
 class FixedVectorEngine(VectorEngine):
-    """Exact fixed-point dot products via int64 matmul (Fig. 3 semantics)."""
+    """Exact fixed-point dot products (Fig. 3 semantics) on one-layer plans."""
 
     def __init__(self, fmt: FixedFormat):
         if fmt.n > 16:

@@ -31,9 +31,11 @@ def quantize_array(fmt: FixedFormat, values: np.ndarray) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("cannot quantize non-finite values")
-    raw = np.rint(arr * (1 << fmt.q))
-    raw = np.clip(raw, fmt.int_min, fmt.int_max).astype(np.int64)
-    return (raw & fmt.mask).astype(np.uint32)
+    raw = np.rint(arr.ravel() * (1 << fmt.q))
+    # Saturate in place: np.clip costs ~3x as much on small arrays.
+    np.maximum(raw, fmt.int_min, out=raw)
+    np.minimum(raw, fmt.int_max, out=raw)
+    return ((raw.astype(np.int64) & fmt.mask).astype(np.uint32)).reshape(arr.shape)
 
 
 def dequantize_array(fmt: FixedFormat, patterns: np.ndarray) -> np.ndarray:

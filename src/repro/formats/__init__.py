@@ -22,13 +22,12 @@ from .kernels import (
     check_patterns,
     clear_scratch,
     digit_planes,
-    quire_bound_bits,
 )
 from .network import (
     NETWORK_PATHS,
     NetworkKernel,
     RoundTable,
-    aligned_value_table,
+    operand_values,
     round_table,
 )
 from .quire import (
@@ -61,13 +60,12 @@ __all__ = [
     "digit_planes",
     "check_patterns",
     "check_format_patterns",
-    "quire_bound_bits",
     "clear_scratch",
     "NetworkKernel",
     "RoundTable",
     "NETWORK_PATHS",
     "round_table",
-    "aligned_value_table",
+    "operand_values",
     "LIMB_BITS",
     "ROUNDING_MODES",
     "NormalizedQuire",

@@ -7,7 +7,7 @@ everything the rest of the library needs:
 * **metadata** — family string, canonical registry name, label, width;
 * **decode tables** (:class:`LimbTables`) feeding the compiled plans and
   the limb-accumulating reference, or ``None`` for fixed point, whose
-  plans use an exact int64 matmul;
+  plans run the same exact float64 GEMMs over its signed integers;
 * **batched kernels** — ``quantize_batch`` / ``decode_batch`` /
   ``relu_batch`` and the fully vectorized ``encode_from_quire_batch``
   round-once output stage;
@@ -105,7 +105,7 @@ class NumericFormat(ABC):
         ``layers`` is a sequence of ``(weights, bias, activation)`` triples;
         the resulting :class:`~repro.formats.network.NetworkKernel` chains
         every layer through fused round-once / pattern-ReLU / operand-gather
-        epilogues and takes a fixed integer fast path per layer (see
+        epilogues and takes a fixed words path per layer (see
         :mod:`repro.formats.network`).  ``rounding_mode`` selects the
         round-once output stage: ``"rne"`` (default) or ``"rtz"`` (round
         toward zero, the truncated-EMAC ablation).  This is the only

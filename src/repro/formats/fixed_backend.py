@@ -1,8 +1,9 @@
 """Fixed-point backend.
 
 Fixed point needs no decode tables (patterns *are* scaled integers), so
-``limb_tables`` returns ``None`` and every plan layer is an exact int64
-matmul (``_FixedStep`` in :mod:`repro.formats.network`).
+``limb_tables`` returns ``None`` and every plan layer computes exact
+float64 digit-plane GEMMs over the signed integers (``_FixedStep`` in
+:mod:`repro.formats.network`).
 ``encode_from_quire_batch`` is still provided — it applies the paper's
 Fig. 3 output stage (shift right by ``q`` with floor, then clip) to quires
 expressed as limbs, so the backend protocol is uniform across families and

@@ -2,12 +2,13 @@
 
 Every exact dot product runs inside a fused network plan
 (:mod:`repro.formats.network`).  Most layers keep each quire inside one
-int64 word; a layer whose quire bound exceeds int64 (maxpos-heavy posit8_2
-rows, 16-bit posits) takes the plan's ``layer`` step, which runs the
-:class:`TableLayerKernel` defined here: the exact accumulation as a
-*digit-plane convolution*.  Each pattern's aligned value is a handful of
-signed base-``2**LIMB_BITS`` digits, and the limb-``k`` contribution of a
-product is ``limbs[b, o, k] = sum_{l+m=k} (A_m @ W_l.T)``.  The kernel
+int64 word and take the plan's ``plane`` step; a layer whose quire bound
+exceeds int64 (maxpos-heavy posit8_2 rows, 16-bit posits) takes the plan's
+``layer`` step, which runs the :class:`TableLayerKernel` defined here: the
+exact accumulation as a *digit-plane convolution*.  Each pattern's aligned
+value is a handful of signed base-``2**LIMB_BITS`` digits, and the
+limb-``k`` contribution of a product is
+``limbs[b, o, k] = sum_{l+m=k} (A_m @ W_l.T)``.  The kernel
 compiles the *(weights, bias)* half of that convolution once, so each call
 is a **single** float64 GEMM per batch chunk.
 
@@ -74,7 +75,6 @@ __all__ = [
     "digit_planes",
     "check_patterns",
     "check_format_patterns",
-    "quire_bound_bits",
     "clear_scratch",
 ]
 
@@ -206,35 +206,6 @@ def check_format_patterns(backend: NumericFormat, patterns, what: str) -> np.nda
     if p.size and (p.min() < 0 or p.max() >= 1 << backend.width):
         raise ValueError(f"{what} pattern out of range")
     return p
-
-
-def quire_bound_bits(tables: LimbTables, wp, bp) -> int:
-    """Bit length bounding any reachable |quire| for these weights.
-
-    ``max_o sum_i |w_oi| * max_valid_a |a| + max_o |bias_o|`` in
-    quire-LSB units, evaluated in float64 with two guard bits of
-    safety margin — an over-estimate only ever costs a wider GEMM.
-    """
-    sig_abs = np.abs(tables.signed_sig).astype(np.float64)
-    valid = ~tables.invalid
-    act_max = 0.0
-    if valid.any():
-        act_max = float(np.ldexp(sig_abs[valid], tables.shift[valid]).max())
-    row_max = 0.0
-    if wp.size:
-        w_vals = np.ldexp(sig_abs[wp], tables.shift[wp])
-        row_max = float(w_vals.sum(axis=1).max())
-    bias_max = 0.0
-    if bp is not None and bp.size:
-        bias_max = float(
-            np.ldexp(
-                sig_abs[bp], tables.shift[bp] + tables.bias_extra_shift
-            ).max()
-        )
-    bound = row_max * act_max + bias_max
-    if bound == 0.0:
-        return 1
-    return int(np.frexp(bound)[1]) + 2
 
 
 def _check_weights(weights, bias) -> tuple[np.ndarray, np.ndarray | None]:

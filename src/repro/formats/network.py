@@ -23,10 +23,10 @@ patterns (and usually not even as patterns — see *operand fusion* below):
   ``encode_from_quire_words`` by construction, for both rounding modes.
 * **Operand fusion.** The gather does not produce patterns and stop: the
   slot table is pre-composed with this layer's pattern-space ReLU map and
-  with whatever representation the *next* layer consumes (its exact int64
-  aligned values, its pattern indices, or nothing but a rank for the
-  readout).  Round-once -> ReLU -> next layer's operand gather is a single
-  ``searchsorted`` + ``take`` into the next layer's preallocated
+  with whatever representation the *next* layer consumes (its exact
+  operand values as float64, its pattern indices, or nothing but a rank
+  for the readout).  Round-once -> ReLU -> next layer's operand gather is
+  a single slot lookup + ``take`` into the next layer's preallocated
   activation buffer.
 * **Fused readout.** ``predict`` composes the last layer's slot table with
   the format's monotone rank table, so classification is
@@ -34,26 +34,24 @@ patterns (and usually not even as patterns — see *operand fusion* below):
   materialization for the readout rows.
 * **Inputs are validated once** per forward call, not once per layer.
 
-Per-layer integer fast paths
-----------------------------
+Per-layer words paths
+---------------------
 Each layer's *words computation* is a fixed function of the layer, chosen
 at compile time with no timing, so every process builds the same plan for
 the same network:
 
 ``plane``
-    Plane-major: one float64 BLAS GEMM per live activation digit plane
-    against the exact float64 weight values.
-    Eligible when the layer is single-word and the weights are narrow
-    (``w_bits + LIMB_BITS + log2(in) <= 53``).  Taken by eligible layers
-    whose fan-in is at least ``_PLANE_MIN_FAN_IN`` (64), where its BLAS
-    GEMMs beat numpy's non-BLAS integer matmul.
-``int64``
-    A native int64 matmul: activations as exact aligned int64 values
-    (one gather, usually pre-fused into the previous epilogue),
-    ``A @ W.T`` in integer dtype.  Exact and overflow-free whenever the
-    layer's quire bound fits int64: every product and every partial sum
-    is bounded by ``max_row sum|w| * max|a| < 2**62``.  Taken by every
-    other single-word layer.
+    Exact integer products from float64 BLAS GEMMs, as in the Ozaki
+    scheme (Ozaki, Ogita, Oishi & Rump, *Numer. Algorithms* 59, 2012):
+    operands are exact integers (aligned values ``signed_sig << shift`` in
+    quire-LSB units, or fixed point's signed integers) cut into signed
+    digits of the widest width that keeps every GEMM sum exact
+    (:class:`_PlaneWords`); the int64 casts of the plane GEMMs, shifted
+    into place, add up to the quire word.  With one plane (every layer of
+    the paper's trained models) the step is a single GEMM over operand
+    values that the previous epilogue hands over as float64.  Taken by
+    every single-word layer (quire bound below ``2**62``) that has such a
+    digit width.
 ``layer``
     The one wide-quire fallback: the limb kernel
     (:class:`~repro.formats.kernels.TableLayerKernel`, one stacked
@@ -61,23 +59,25 @@ the same network:
     gather.  Used when the quire bound exceeds int64 (maxpos-heavy
     weights, 16-bit posits).
 
-Fixed point compiles every layer to its native int64 matmul with the
-Fig. 3 shift-round epilogue inlined (its clipped signed outputs *are*
-monotone ranks, so the fused readout is a plain argmax).  A family must
-provide limb tables or be fixed point; compiling a plan for any other
-backend raises ``TypeError``.
+Fixed point computes its words the same way over its signed integers and
+keeps the Fig. 3 shift-round-clip epilogue inline (its clipped signed
+outputs *are* monotone ranks, so the fused readout is a plain argmax).  A
+family must provide limb tables or be fixed point; compiling a plan for
+any other backend raises ``TypeError``.
 
-Exactness: both fast paths compute the same exact int64 quire word,
-then share the same oracle-derived round table — so they are bit-identical
-to each other, to the limb kernel, and to the scalar EMACs
-(property-tested across every registered format, both rounding modes, and
-every forced path in ``tests/formats/test_network_kernel.py``).
+Exactness: ``plane`` and ``layer`` compute the same exact quire, and a
+``plane`` word goes through the same oracle-derived round table as any
+other int64 word — so every plan is bit-identical to the scalar EMACs
+(property-tested across every registered format, both rounding modes,
+single- and multi-plane layers, and every forced path in
+``tests/formats/test_network_kernel.py``).
 
 Obtain plans through :meth:`repro.formats.NumericFormat.compile_network`
 (or ``PositronNetwork.network_kernel()``, which recompiles automatically
 after ``recompile()``); ``explain()`` reports each layer's path, its
-eligible paths, and the compiled-table footprint — surfaced as
-``python -m repro formats --explain DATASET:FORMAT``.
+eligible paths, plane count, quire-bound bits and compiled-table
+footprint — surfaced as ``python -m repro formats --explain
+DATASET:FORMAT``.
 """
 
 from __future__ import annotations
@@ -94,37 +94,27 @@ from .kernels import (
     _scratch,
     check_format_patterns,
     check_patterns,
-    digit_planes,
-    quire_bound_bits,
 )
-from .quire import (
-    LIMB_BITS,
-    arithmetic_shift_round,
-    bit_length_int64,
-    check_rounding_mode,
-)
+from .quire import arithmetic_shift_round, bit_length_int64, check_rounding_mode
 
 __all__ = [
     "NetworkKernel",
     "RoundTable",
-    "aligned_value_table",
+    "operand_values",
     "round_table",
     "NETWORK_PATHS",
 ]
 
 #: Per-layer words-computation paths (``force_path`` values).
-NETWORK_PATHS = ("plane", "int64", "layer")
-
-#: Fan-in from which an eligible single-word layer takes ``plane`` rather
-#: than ``int64``.  Timed as one-layer plans over the 207 two-path layers
-#: of the Table II / Fig. 9 grid on a 2-vCPU Xeon, ``plane`` took a median
-#: 0.67x the ``int64`` time at 32 rows and fan-in 117, but 1.03-1.21x at
-#: every fan-in <= 30, and 1.21-1.26x at 1 row for every fan-in.
-_PLANE_MIN_FAN_IN = 64
+NETWORK_PATHS = ("plane", "layer")
 
 #: Single-word quires are bounded by ``|word| < 2**62``; the round tables
 #: cover exactly that window.
 _WORD_CAP = np.int64(1) << 62
+
+#: Every sum of a ``plane`` GEMM stays an integer below ``2**_EXACT_BITS``,
+#: inside float64's exact-integer range (``2**53``).
+_EXACT_BITS = 52
 
 #: Mantissa-bit depth range of the round-table bucket grid: the smallest
 #: ``m`` whose buckets separate all boundaries wins.  Adjacent boundaries
@@ -138,23 +128,87 @@ _ROUND_KEY_MAX_M = 18
 # ----------------------------------------------------------------------
 # Memoized exact integer tables
 # ----------------------------------------------------------------------
-def aligned_value_table(backend: NumericFormat) -> np.ndarray | None:
-    """Per-pattern exact aligned value ``signed_sig << shift`` as int64.
+def operand_values(backend: NumericFormat) -> np.ndarray:
+    """Per-pattern exact integer operand value, as float64, memoized.
 
-    The int64-matmul fast path multiplies these directly: the product of
-    two aligned values is the exact quire word contribution in quire-LSB
-    units.  ``None`` when the format has no limb tables or its aligned
-    range overflows int64 (no ≤ 8-bit paper format does).
+    Table formats: the aligned value ``signed_sig << shift`` (a product of
+    two is its exact quire-word contribution); invalid patterns map to 0.
+    Fixed point: the signed integer the pattern scales.
     """
 
     def build():
         t = backend.limb_tables()
-        if t is None or t.sig_bits + int(t.shift.max(initial=0)) > 62:
-            return False
-        return t.signed_sig << t.shift
+        if t is None:
+            signed = fx.signed_array(backend.fmt, np.arange(1 << backend.width))
+            return signed.astype(np.float64)
+        values = np.ldexp(t.signed_sig.astype(np.float64), t.shift)
+        values[t.invalid] = 0.0
+        return values
 
-    got = backend._memo("_aligned_value_table", build)
-    return None if got is False else got
+    return backend._memo("_operand_values", build)
+
+
+class _PlaneWords:
+    """Exact int64 words ``A @ W.T`` of integer operands, on float64 GEMMs.
+
+    ``values`` (per pattern), ``w_vals`` (``(out, in)``) and ``b_vals`` (bias
+    words or ``None``) are exact float64 integers.  ``quire_bits`` bounds
+    every quire, ``S * max|a| + max|b|`` plus two guard bits, with
+    ``S = max_o sum_i |w_oi|``.  Operands are cut into signed digits of
+    ``digit_bits = 52 - bitlen(S)`` bits, so each plane's GEMM sums stay
+    below ``S * 2**digit_bits < 2**52`` in any order (float64 ``S`` is exact
+    below ``2**53``).  ``planes = ceil(a_bits / digit_bits)``, or 0 if the
+    layer is not single-word or ``digit_bits < 1``.  With one plane the
+    digit is the value, so the step consumes float64 values (``wants ==
+    "value"``); with more it gathers each plane's digits by pattern.
+    """
+
+    def __init__(self, values, w_vals, b_vals):
+        self.w_t = np.ascontiguousarray(w_vals.T)
+        mag = np.abs(values)
+        act_max = float(mag.max(initial=0.0))
+        s = float(np.abs(w_vals).sum(axis=1).max(initial=0.0))
+        b_max = 0.0 if b_vals is None else float(np.abs(b_vals).max(initial=0.0))
+        bound = s * act_max + b_max
+        self.quire_bits = int(np.frexp(bound)[1]) + 2 if bound else 1
+        self.digit_bits = d = _EXACT_BITS - int(np.frexp(s)[1])
+        self.planes = 0
+        if self.quire_bits <= 62 and d >= 1:
+            self.planes = max(1, -(-int(np.frexp(act_max)[1]) // d))
+        self.tables = [values]
+        if self.planes > 1:
+            radix = 2.0**d
+            self.tables = [
+                np.copysign(np.fmod(np.floor(np.ldexp(mag, -d * m)), radix), values)
+                for m in range(self.planes)
+            ]
+        self.wants = "value" if self.planes == 1 else "pattern"
+
+    def __call__(self, ops, scratch, tag):
+        rows, out_dim = ops.shape[0], self.w_t.shape[1]
+        words = scratch.get((rows, out_dim), np.int64, tag + "w")
+        # The GEMM output shares the step's float64 output buffer: the
+        # products are dead once cast to words.
+        prod = scratch.get((rows, out_dim), np.float64, tag + "o")
+        if self.planes == 1:
+            np.matmul(ops, self.w_t, out=prod)
+            words[:] = prod  # exact: integers below 2**52
+            return words
+        words.fill(0)
+        staged = scratch.get(ops.shape, np.float64, tag + "a")
+        shifted = scratch.get((rows, out_dim), np.int64, tag + "s")
+        for m, table in enumerate(self.tables):
+            np.take(table, ops, out=staged)
+            np.matmul(staged, self.w_t, out=prod)
+            shifted[:] = prod
+            shifted <<= self.digit_bits * m
+            words += shifted
+        return words
+
+    def table_bytes(self) -> int:
+        # One plane reuses the backend's memoized operand values.
+        digits = 0 if self.planes == 1 else sum(t.nbytes for t in self.tables)
+        return self.w_t.nbytes + digits
 
 
 def _round_key(words: np.ndarray, m: int) -> np.ndarray:
@@ -171,7 +225,8 @@ def _round_key(words: np.ndarray, m: int) -> np.ndarray:
     f = words.astype(np.float64)
     expman = (f.view(np.uint64) >> np.uint64(52 - m)).astype(np.int64)
     mag = (expman & ((1 << (11 + m)) - 1)) - (1022 << m)
-    np.clip(mag, 0, (64 << m) - 1, out=mag)
+    # In place, and not np.clip, which costs ~3x as much on small arrays.
+    np.minimum(np.maximum(mag, 0, out=mag), (64 << m) - 1, out=mag)
     center = 64 << m
     return np.where(words >= 0, center + mag, center - 1 - mag)
 
@@ -314,48 +369,36 @@ def round_table(backend: NumericFormat, mode: str = "rne") -> RoundTable:
 # Per-layer steps
 # ----------------------------------------------------------------------
 class _TableStep:
-    """One single-word table-format layer: words computation + fused epilogue.
+    """One single-word table-format layer: plane words + fused epilogue.
 
-    ``wants`` names the operand representation the step consumes —
-    ``"aval"`` (exact int64 aligned values) for the int64 matmul,
-    ``"pattern"`` (int64 pattern indices) for the plane-major path.  The
-    *previous* step's epilogue produces it directly; :meth:`finalize`
-    composes this step's own epilogue table the same way for its consumer.
+    ``wants`` names the operand representation the step consumes (see
+    :class:`_PlaneWords`).  The *previous* step's epilogue produces it
+    directly; :meth:`finalize` composes this step's own epilogue table the
+    same way for its consumer.
     """
 
-    def __init__(self, backend, tables, wp, bp, activation, mode, path):
+    path = "plane"
+
+    def __init__(self, backend, tables, words, bp, activation, mode):
         self.backend = backend
         self.tables = tables
         self.activation = activation
-        self.path = path
-        self.out_features, self.in_features = wp.shape
+        self.words, self.wants = words, words.wants
+        self.in_features, self.out_features = words.w_t.shape
         self.rt = round_table(backend, mode)
         self.bias_words = None
         if bp is not None:
             self.bias_words = tables.signed_sig[bp] << (
                 tables.shift[bp] + tables.bias_extra_shift
             )
-        if path == "int64":
-            self.wants = "aval"
-            self.w_t = np.ascontiguousarray(aligned_value_table(backend)[wp].T)
-        else:  # plane
-            self.wants = "pattern"
-            digits = digit_planes(backend)
-            live = [m for m in range(digits.shape[1]) if digits[:, m].any()]
-            w_vals = np.ldexp(
-                tables.signed_sig[wp].astype(np.float64), tables.shift[wp]
-            )
-            self.w_t = np.ascontiguousarray(w_vals.T)
-            self.plane_tables = [np.ascontiguousarray(digits[:, m]) for m in live]
-            self.plane_shifts = [LIMB_BITS * m for m in live]
 
     # -- epilogue composition -------------------------------------------
     def _compose(self, wants: str | None) -> np.ndarray:
         slots = self.rt.slot_patterns
         if self.activation == "relu":
             slots = self.tables.relu[slots]
-        if wants == "aval":
-            return aligned_value_table(self.backend)[slots]
+        if wants == "value":
+            return operand_values(self.backend)[slots]
         if wants == "rank":
             return self.backend.rank_table()[slots]
         return np.ascontiguousarray(slots)  # "pattern" / final output
@@ -369,54 +412,31 @@ class _TableStep:
 
     # -- execution ------------------------------------------------------
     def run(self, ops, scratch, tag, readout=False):
-        rows = ops.shape[0]
-        out_dim = self.out_features
-        words = scratch.get((rows, out_dim), np.int64, tag + "w")
-        if self.path == "int64":
-            np.matmul(ops, self.w_t, out=words)
-        else:  # plane
-            words.fill(0)
-            staged = scratch.get(
-                (rows, self.in_features), np.float64, tag + "a"
-            )
-            prod = scratch.get((rows, out_dim), np.float64, tag + "p")
-            shifted = scratch.get((rows, out_dim), np.int64, tag + "s")
-            for table, shift in zip(self.plane_tables, self.plane_shifts):
-                np.take(table, ops, out=staged)
-                np.matmul(staged, self.w_t, out=prod)
-                shifted[:] = prod  # exact: integers < 2**53
-                shifted <<= shift
-                words += shifted
+        words = self.words(ops, scratch, tag)
         if self.bias_words is not None:
             words += self.bias_words
         # Fused epilogue: round-once + ReLU + the consumer's operand
         # gather, as one O(1) slot lookup and one table take.
         idx = self.rt.indices(words)
         table = self.slot_rank if readout else self.slot_out
-        out = scratch.get((rows, out_dim), np.int64, tag + "o")
+        out = scratch.get(words.shape, table.dtype, tag + "o")
         np.take(table, idx, out=out.ravel())
         return out
 
     def table_bytes(self) -> int:
-        total = (
-            self.rt.boundaries.nbytes + self.slot_out.nbytes + self.w_t.nbytes
-        )
-        if self.path == "plane":
-            total += sum(t.nbytes for t in self.plane_tables)
-        return total
+        rt_bytes = self.rt.boundaries.nbytes + self.slot_out.nbytes
+        return rt_bytes + self.words.table_bytes()
 
 
 class _FixedStep:
-    """Fixed-point layer: native int64 matmul with the Fig. 3 epilogue inline.
+    """Fixed-point layer: plane words with the Fig. 3 epilogue inline.
 
-    Operands are the clipped signed integers themselves (patterns are
-    scaled two's-complement words), so ReLU is ``max(v, 0)`` and the
-    clipped outputs are already monotone in value — the fused readout
-    argmaxes them directly, no rank table needed.
+    The words are those of the signed integers the patterns scale, so
+    ReLU is ``max(v, 0)`` and the clipped outputs are already monotone in
+    value — the fused readout argmaxes them directly, no rank table needed.
     """
 
-    path = "int64"
-    wants = "signed"
+    path = "plane"
 
     def __init__(self, backend, weights, bias, activation, mode):
         fmt = backend.fmt
@@ -426,11 +446,17 @@ class _FixedStep:
         self.mode = mode
         self.activation = activation
         self.out_features, self.in_features = weights.shape
-        self.w_t = np.ascontiguousarray(fx.signed_array(fmt, weights).T)
         self.bias_term = (
             None if bias is None else fx.signed_array(fmt, bias) << fmt.q
         )
-        self.next_wants = None
+        self.words = _PlaneWords(
+            operand_values(backend),
+            fx.signed_array(fmt, weights).astype(np.float64),
+            None if bias is None else self.bias_term.astype(np.float64),
+        )
+        self.wants = self.words.wants
+        # Clipping and ReLU in one pass: ReLU raises the floor to 0.
+        self.floor = 0 if activation == "relu" else fmt.int_min
 
     def finalize(self, next_wants: str | None) -> None:
         self.next_wants = next_wants
@@ -439,23 +465,24 @@ class _FixedStep:
         pass  # clipped signed values double as ranks
 
     def run(self, ops, scratch, tag, readout=False):
-        rows = ops.shape[0]
         fmt = self.fmt
-        words = scratch.get((rows, self.out_features), np.int64, tag + "w")
-        np.matmul(ops, self.w_t, out=words)
+        words = self.words(ops, scratch, tag)
         if self.bias_term is not None:
             words += self.bias_term
         v = arithmetic_shift_round(words, fmt.q, self.mode)
-        np.clip(v, fmt.int_min, fmt.int_max, out=v)
-        if self.activation == "relu":
-            np.maximum(v, 0, out=v)
-        if readout or self.next_wants == "signed":
-            return v  # monotone in value: rank and operand alike
-        v &= fmt.mask  # pattern bits for the final output
+        np.maximum(v, self.floor, out=v)
+        np.minimum(v, fmt.int_max, out=v)
+        if readout:
+            return v  # monotone in value: the clipped values are ranks
+        if self.next_wants == "value":
+            out = scratch.get(v.shape, np.float64, tag + "o")
+            out[:] = v
+            return out
+        v &= fmt.mask  # patterns: a multi-plane consumer's or the output
         return v
 
     def table_bytes(self) -> int:
-        return self.w_t.nbytes
+        return self.words.table_bytes()
 
 
 class _LayerStep:
@@ -469,10 +496,11 @@ class _LayerStep:
     path = "layer"
     wants = "pattern"
 
-    def __init__(self, backend, kernel, activation):
+    def __init__(self, backend, kernel, activation, words):
         self.backend = backend
         self.kernel = kernel
         self.activation = activation
+        self.words = words  # reported by explain() only
         self.out_features = kernel.out_features
         self.in_features = kernel.in_features
 
@@ -482,8 +510,8 @@ class _LayerStep:
         if self.activation == "relu":
             lut = self.backend.relu_batch(lut.astype(np.uint32)).astype(np.int64)
             identity = False
-        if wants == "aval":
-            lut = aligned_value_table(self.backend)[lut]
+        if wants == "value":
+            lut = operand_values(self.backend)[lut]
             identity = False
         elif wants == "rank":
             lut = self.backend.rank_table()[lut]
@@ -570,7 +598,11 @@ class NetworkKernel:
 
     # ------------------------------------------------------------------
     def _plan_layer(self, weights, bias, activation, force_path):
-        """``(step, eligible paths)`` for one layer."""
+        """``(step, eligible paths)`` for one layer.
+
+        The fixed rule: ``plane`` when :class:`_PlaneWords` finds the layer
+        single-word with an exact digit width, ``layer`` otherwise.
+        """
         backend, tables = self.backend, self._tables
         mode = self.rounding_mode
         if tables is None:
@@ -579,55 +611,36 @@ class NetworkKernel:
                     f"{backend.name} has no limb tables and is not fixed "
                     f"point; no plan can compute its dot products"
                 )
-            if force_path not in (None, "int64"):
+            if force_path not in (None, "plane"):
                 raise ValueError(
-                    f"fixed point supports only the int64 path, "
+                    f"fixed point supports only the plane path, "
                     f"not {force_path!r}"
                 )
             step = _FixedStep(backend, weights, bias, activation, mode)
-            return step, ("int64",)
+            return step, ("plane",)
 
         wp = check_patterns(tables, weights, "weights")
         bp = None if bias is None else check_patterns(tables, bias, "bias")
-        eligible = self._eligible_paths(wp, bp) + ("layer",)
-        if force_path is None:
-            # Fixed rule: wide layers prefer plane, narrow ones int64;
-            # either falls back to the other, then to the limb kernel.
-            if wp.shape[1] >= _PLANE_MIN_FAN_IN:
-                order = ("plane", "int64", "layer")
-            else:
-                order = ("int64", "plane", "layer")
-            chosen = next(p for p in order if p in eligible)
-        elif force_path in eligible:
-            chosen = force_path
-        else:
+        sig = tables.signed_sig.astype(np.float64)
+        b_vals = None
+        if bp is not None:
+            b_vals = np.ldexp(sig[bp], tables.shift[bp] + tables.bias_extra_shift)
+        words = _PlaneWords(
+            operand_values(backend), np.ldexp(sig[wp], tables.shift[wp]), b_vals
+        )
+        eligible = ("plane", "layer") if words.planes else ("layer",)
+        chosen = eligible[0] if force_path is None else force_path
+        if chosen not in eligible:
             raise ValueError(
                 f"layer shape {wp.shape} is not eligible for the "
                 f"{force_path!r} path (eligible: {eligible})"
             )
         if chosen == "layer":
             kernel = TableLayerKernel(backend, tables, wp, bp, mode)
-            step = _LayerStep(backend, kernel, activation)
+            step = _LayerStep(backend, kernel, activation, words)
         else:
-            step = _TableStep(backend, tables, wp, bp, activation, mode, chosen)
+            step = _TableStep(backend, tables, words, bp, activation, mode)
         return step, eligible
-
-    def _eligible_paths(self, wp, bp) -> tuple[str, ...]:
-        """The single-word fast paths this layer's weights admit."""
-        tables = self._tables
-        if quire_bound_bits(tables, wp, bp) > 62:
-            return ()
-        eligible = []
-        w_vals = np.ldexp(
-            tables.signed_sig[wp].astype(np.float64), tables.shift[wp]
-        )
-        w_max = np.abs(w_vals).max() if wp.size else 0.0
-        w_bits = int(np.frexp(w_max)[1]) if w_max else 0
-        if w_bits + LIMB_BITS + max(1, wp.shape[1]).bit_length() <= 53:
-            eligible.append("plane")
-        if aligned_value_table(self.backend) is not None:
-            eligible.append("int64")
-        return tuple(eligible)
 
     # ------------------------------------------------------------------
     def _prepare(self, patterns) -> np.ndarray:
@@ -644,11 +657,8 @@ class NetworkKernel:
         return check_format_patterns(self.backend, p, "activations")
 
     def _first_ops(self, p: np.ndarray) -> np.ndarray:
-        wants = self.steps[0].wants
-        if wants == "aval":
-            return aligned_value_table(self.backend)[p]
-        if wants == "signed":
-            return fx.signed_array(self.backend.fmt, p)
+        if self.steps[0].wants == "value":
+            return operand_values(self.backend)[p]
         return p  # "pattern"
 
     def _chunk_rows(self) -> int:
@@ -689,7 +699,7 @@ class NetworkKernel:
 
     # ------------------------------------------------------------------
     def explain(self) -> list[dict]:
-        """Per-layer compile decisions: path, eligible paths, table bytes."""
+        """Per-layer path, eligible paths, planes, quire bits, table bytes."""
         return [
             {
                 "layer": i,
@@ -699,6 +709,8 @@ class NetworkKernel:
                 "wants": step.wants,
                 "path": step.path,
                 "eligible": list(eligible),
+                "planes": step.words.planes if step.path == "plane" else None,
+                "quire_bits": step.words.quire_bits,
                 "table_bytes": step.table_bytes(),
             }
             for i, (step, eligible) in enumerate(zip(self.steps, self._eligible))

@@ -140,6 +140,8 @@ def _boundary_table(fmt: PositFormat):
     classic posit interleaving property.  Representing boundaries this way
     makes the vectorized quantizer bit-identical to the scalar encoder even
     across regime-taper boundaries, where value-space "nearest" differs.
+    The last entry holds :func:`quantize_array`'s saturation constants:
+    ``maxpos``, ``minpos`` (floats) and the patterns of their negations.
     """
     from .format import standard_format
 
@@ -154,7 +156,10 @@ def _boundary_table(fmt: PositFormat):
     # i / i+1 has the even *magnitude* encoding (Algorithm 2: round = guard
     # & (lsb | sticky) with sticky == 0 keeps an even-lsb pattern).
     boundary_to_lower = (np.abs(signed[:-1]) % 2) == 0
-    return patterns, boundaries, boundary_to_lower
+    negated = (1 << fmt.n) - np.array([fmt.maxpos_pattern, fmt.minpos_pattern])
+    neg_max, neg_min = (negated & fmt.mask).astype(np.uint32)
+    saturation = (float(fmt.maxpos), float(fmt.minpos), neg_max, neg_min)
+    return patterns, boundaries, boundary_to_lower, saturation
 
 
 def quantize_array(fmt: PositFormat, values: np.ndarray) -> np.ndarray:
@@ -169,22 +174,20 @@ def quantize_array(fmt: PositFormat, values: np.ndarray) -> np.ndarray:
     flat = arr.ravel()
     if not np.all(np.isfinite(flat)):
         raise ValueError("cannot quantize non-finite values to posit")
-    patterns, boundaries, to_lower = _boundary_table(fmt)
+    patterns, boundaries, to_lower, saturation = _boundary_table(fmt)
     idx = np.searchsorted(boundaries, flat, side="left")
     hit = np.minimum(idx, len(boundaries) - 1)
     tie = boundaries[hit] == flat
     out_idx = idx + np.where(tie & ~to_lower[hit], 1, 0)
-    out_idx = np.clip(out_idx, 0, len(patterns) - 1)
+    # out_idx >= 0 already; cap it in place (np.clip costs ~3x as much).
+    np.minimum(out_idx, len(patterns) - 1, out=out_idx)
     result = patterns[out_idx]
     # Saturation and the never-round-to-zero rule.
-    maxpos = float(fmt.maxpos)
-    minpos = float(fmt.minpos)
-    neg_max = ((1 << fmt.n) - fmt.maxpos_pattern) & fmt.mask
-    neg_min = ((1 << fmt.n) - fmt.minpos_pattern) & fmt.mask
+    maxpos, minpos, neg_max, neg_min = saturation
     result = np.where(flat >= maxpos, np.uint32(fmt.maxpos_pattern), result)
-    result = np.where(flat <= -maxpos, np.uint32(neg_max), result)
+    result = np.where(flat <= -maxpos, neg_max, result)
     result = np.where((flat > 0) & (flat < minpos), np.uint32(fmt.minpos_pattern), result)
-    result = np.where((flat < 0) & (flat > -minpos), np.uint32(neg_min), result)
+    result = np.where((flat < 0) & (flat > -minpos), neg_min, result)
     result = np.where(flat == 0.0, np.uint32(fmt.zero_pattern), result)
     return result.astype(np.uint32).reshape(arr.shape)
 

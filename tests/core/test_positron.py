@@ -174,6 +174,31 @@ class TestFusedPlanLifecycle:
         net.recompile()
         assert twin.network_kernel() is not twin_plan
 
+    def test_in_place_rounding_mode_reaches_the_plan(self, rng, scalar_forward):
+        """Layers switched to rtz in place, then recompile(): the plan
+        compiles in the layers' mode and ``rounding_mode`` reports it."""
+        net, engine = tiny_network(
+            standard_format(8, 0), rng, topology=(6, 8, 3)
+        )
+        X = engine.quantize(rng.normal(scale=2.0, size=(200, 6)))
+        rne_out = net.forward_patterns(X).copy()  # warms the cached plan
+        for layer in net.layers:
+            layer.rounding_mode = "rtz"
+        net.recompile()
+        assert net.rounding_mode == "rtz"
+        rtz_out = net.forward_patterns(X)
+        assert np.array_equal(rtz_out, scalar_forward(net, X))
+        assert not np.array_equal(rtz_out, rne_out)
+
+    def test_in_place_mode_mismatch_rejected(self, rng):
+        net, _ = tiny_network(P8, rng)
+        net.network_kernel()
+        net.layers[0].rounding_mode = "rtz"
+        with pytest.raises(ValueError, match="inconsistent rounding modes"):
+            net.recompile()
+        with pytest.raises(ValueError, match="inconsistent rounding modes"):
+            net.network_kernel()
+
     def test_predict_patterns_empty_batch(self, rng):
         net, _ = tiny_network(P8, rng)
         empty = np.zeros((0, 4), np.uint32)

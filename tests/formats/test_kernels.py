@@ -207,19 +207,22 @@ class TestKernelBitIdentity:
         assert np.array_equal(out, engine_for(fmt).dot_reference(W, X, B))
         assert np.array_equal(out, scalar_dot(fmt, W, X, B))
 
-    def test_single_word_layer_too_wide_for_plane(self):
-        """A near-maxpos posit8_1 row keeps the quire inside one int64 but
-        is too wide for unsplit float64 weights: the layer takes int64."""
+    @pytest.mark.parametrize("mode", formats.ROUNDING_MODES)
+    def test_single_word_layer_takes_two_planes(self, scalar_dot, mode):
+        """A maxpos posit8_1 weight (``S = 2**28``, so 23-bit digits) keeps
+        the quire inside one int64 but splits the 29-bit activations into
+        two digit planes."""
         fmt = standard_format(8, 1)
         W = np.zeros((2, 40), dtype=np.uint32)
         W[:, 0] = fmt.maxpos_pattern
         rng = np.random.default_rng(9)
         X = scrub(fmt, rng.integers(0, 256, size=(20, 40), dtype=np.uint32))
-        plan = layer_plan(fmt, W, None)
+        X[0, 0] = fmt.maxpos_pattern
+        plan = layer_plan(fmt, W, None, mode)
         (row,) = plan.explain()
-        assert row["eligible"] == ["int64", "layer"]
-        assert row["path"] == "int64"
-        assert np.array_equal(plan.forward(X), engine_for(fmt).dot_reference(W, X))
+        assert row["eligible"] == ["plane", "layer"]
+        assert (row["path"], row["planes"]) == ("plane", 2)
+        assert np.array_equal(plan.forward(X), scalar_dot(fmt, W, X, None, mode))
 
     def test_fan_in_split_accumulation(self, rng):
         """Fan-in past the float64-exactness bound forces multiple GEMM

@@ -6,12 +6,13 @@ pins it to the scalar EMACs (``forward_scalar`` for rne; the EMAC's exact
 accumulation rounded by ``truncate_scalar`` for rtz, with pattern ReLU
 between layers), bit for bit, over random 1-3-layer topologies, every
 format of ``FORMATS``, both rounding modes, maxpos-heavy weights that overflow
-the int64 quire, and every words path forced on.  Around it: the
-oracle-built round table against ``encode_from_quire_words`` over the whole
-single-word window, its O(1) bucket index against plain ``searchsorted``,
-the pattern-space ReLU composition against ``engine.relu`` on every valid
-pattern, shape edges per forced path, and input rejection.  The default
-plan's path per layer is a fixed rule, the same in every process.
+the int64 quire, multi-plane layers, and every words path forced on.
+Around it: the oracle-built round table against ``encode_from_quire_words``
+over the whole single-word window, its O(1) bucket index against plain
+``searchsorted``, the pattern-space ReLU composition against ``engine.relu``
+on every valid pattern, the one-plane/two-plane exactness boundary, shape
+edges per forced path, and input rejection.  The default plan's path per
+layer is a fixed rule, the same in every process.
 """
 
 import multiprocessing
@@ -19,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import formats
@@ -30,13 +31,18 @@ from repro.floatp import float_format
 from repro.formats.network import (
     NETWORK_PATHS,
     NetworkKernel,
-    aligned_value_table,
+    operand_values,
     round_table,
 )
 from repro.posit.format import standard_format
 
+#: posit<6,2>'s wide range (34-bit operand values) makes random weights
+#: take two planes.
+MULTI_PLANE_FMT = standard_format(6, 2)
+
 FORMATS = [
     standard_format(6, 0),
+    MULTI_PLANE_FMT,
     standard_format(7, 2),
     standard_format(8, 0),
     standard_format(8, 1),
@@ -192,52 +198,61 @@ class TestRoundTable:
             )
 
     def test_exact_tables_are_exact(self, table_fmt):
-        """Aligned values agree with the decode tables."""
+        """Operand values are the exact aligned values of the decode tables."""
         backend = formats.backend_for(table_fmt)
         t = backend.limb_tables()
         valid = np.flatnonzero(~t.invalid)
-        avals = aligned_value_table(backend)
-        if avals is not None:
-            assert np.array_equal(
-                avals[valid], t.signed_sig[valid] << t.shift[valid]
-            )
-            dec = backend.decode_batch(valid.astype(np.uint32))
-            assert np.array_equal(np.sign(avals[valid]), np.sign(dec))
+        values = operand_values(backend)
+        exact = [int(v) << int(sh) for v, sh in zip(t.signed_sig, t.shift)]
+        assert [int(v) for v in values[valid]] == [exact[p] for p in valid]
+        assert not values[t.invalid].any()
+        dec = backend.decode_batch(valid.astype(np.uint32))
+        assert np.array_equal(np.sign(values[valid]), np.sign(dec))
 
 
 class TestFusedBitIdentity:
     @pytest.mark.parametrize("fmt", FORMATS, ids=str)
-    @settings(max_examples=15, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        topo=st.lists(st.integers(1, 14), min_size=2, max_size=4),
-        batch=st.integers(0, 6),
-        mode=st.sampled_from(formats.ROUNDING_MODES),
-        maxpos=st.booleans(),
-    )
-    def test_plans_match_scalar_oracle(
-        self, scalar_forward, fmt, seed, topo, batch, mode, maxpos
-    ):
+    def test_plans_match_scalar_oracle(self, scalar_forward, fmt):
         """Every plan == the scalar oracle: each format, mode and path.
 
         The default plan and every path ``force_path`` can build run the
         same random network; outputs and rank-argmax readouts must equal
-        the scalar EMACs'."""
+        the scalar EMACs'.  The explicit examples pin a two-plane layer of
+        ``MULTI_PLANE_FMT`` in both modes, and the run must draw one."""
         backend = formats.backend_for(fmt)
-        rng = np.random.default_rng(seed)
-        layers, X, net = random_network(
-            fmt, rng, tuple(topo), batch, rounding_mode=mode, maxpos=maxpos
-        )
-        expected = scalar_forward(net, X)
         ranks = backend.rank_table()
-        expected_pred = np.argmax(ranks[expected.astype(np.int64)], axis=1)
-        for path, plan in forced_plans(backend, layers, mode):
-            out = plan.forward(X)
-            assert out.shape == (batch, topo[-1]), path
-            assert np.array_equal(out, expected), (path, mode)
-            pred = plan.predict(X)
-            assert pred.shape == (batch,), path
-            assert np.array_equal(pred, expected_pred), (path, mode)
+        planes = [0]
+
+        @settings(max_examples=15, deadline=None)
+        @given(
+            seed=st.integers(0, 2**31 - 1),
+            topo=st.lists(st.integers(1, 14), min_size=2, max_size=4),
+            batch=st.integers(0, 6),
+            mode=st.sampled_from(formats.ROUNDING_MODES),
+            maxpos=st.booleans(),
+        )
+        @example(seed=3, topo=[6, 5, 3], batch=4, mode="rne", maxpos=False)
+        @example(seed=3, topo=[6, 5, 3], batch=4, mode="rtz", maxpos=False)
+        def check(seed, topo, batch, mode, maxpos):
+            rng = np.random.default_rng(seed)
+            layers, X, net = random_network(
+                fmt, rng, tuple(topo), batch, rounding_mode=mode,
+                maxpos=maxpos,
+            )
+            expected = scalar_forward(net, X)
+            expected_pred = np.argmax(ranks[expected.astype(np.int64)], axis=1)
+            for path, plan in forced_plans(backend, layers, mode):
+                planes.extend(row["planes"] or 0 for row in plan.explain())
+                out = plan.forward(X)
+                assert out.shape == (batch, topo[-1]), path
+                assert np.array_equal(out, expected), (path, mode)
+                pred = plan.predict(X)
+                assert pred.shape == (batch,), path
+                assert np.array_equal(pred, expected_pred), (path, mode)
+
+        check()
+        if fmt == MULTI_PLANE_FMT:
+            assert max(planes) >= 2
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -311,12 +326,14 @@ class TestPlanCompile:
         """Forcing a path a layer cannot take raises, never silently falls back."""
         backend = formats.backend_for(standard_format(8, 2))
         layers = [maxpos_layer(backend, 3, 2)]  # quire bound past int64
-        for path in ("plane", "int64"):
-            with pytest.raises(ValueError, match="not eligible"):
-                NetworkKernel(backend, layers, force_path=path)
-        for path in ("product", "warp"):
+        with pytest.raises(ValueError, match="not eligible"):
+            NetworkKernel(backend, layers, force_path="plane")
+        for path in ("int64", "product", "warp"):
             with pytest.raises(ValueError, match="force_path"):
                 NetworkKernel(backend, layers, force_path=path)
+        fixed = formats.get("fixed8_4")
+        with pytest.raises(ValueError, match="only the plane path"):
+            NetworkKernel(fixed, [maxpos_layer(fixed, 3, 2)], force_path="layer")
 
     def test_validates_network_inputs_once(self, table_fmt):
         """Invalid input patterns are rejected at the network boundary."""
@@ -357,6 +374,12 @@ class TestPlanCompile:
             assert row["path"] in row["eligible"]
             assert row["table_bytes"] >= 0
             assert row["activation"] in ("relu", "identity")
+            assert row["quire_bits"] >= 1
+            if row["path"] == "plane":
+                assert row["planes"] >= 1
+                assert row["wants"] == ("value" if row["planes"] == 1 else "pattern")
+            else:
+                assert row["planes"] is None
 
     def test_empty_layer_stack_rejected(self, any_fmt):
         backend = formats.backend_for(any_fmt)
@@ -377,15 +400,83 @@ class TestPlanCompile:
             backend.compile_network(layers)
 
 
+class TestPlaneBoundary:
+    """The widest exact digit ``d = 52 - bitlen(S)`` at its plane-count edge.
+
+    posit<8,1> operands are integers of up to 29 bits (maxpos ``2**12`` is
+    ``2**28`` quire-LSB units of one input, and one weight unit is
+    ``2**-16``), so one plane holds them iff ``bitlen(S) <= 23``: weights
+    whose magnitudes sum to under 128.  The weights ``2**6, 2**5, ...,
+    2**-10`` (each exact in posit<8,1>) sum to ``128 - 2**-10``,
+    ``S = 2**23 - 64``: one plane.  One more weight bit (``2**7`` on top)
+    gives ``bitlen(S) = 24`` and two planes.  Rows of +-maxpos drive the
+    plane GEMM sums towards ``S * 2**28``, and cancelling rows leave results
+    whose low bits count.
+    """
+
+    @staticmethod
+    def boundary_layer(backend, top):
+        rng = np.random.default_rng(top)
+        exponents = np.concatenate([[top], np.arange(5, -11, -1)])
+        signs = rng.choice([-1.0, 1.0], size=(3, exponents.size))
+        signs[0] = 1.0
+        W = backend.quantize_batch(signs * np.exp2(exponents))
+        B = backend.quantize_batch(rng.uniform(-4, 4, size=3))
+        return W, B
+
+    @staticmethod
+    def boundary_rows(backend, rng, in_dim):
+        fmt = backend.fmt
+        maxpos = np.uint32(fmt.maxpos_pattern)
+        neg_maxpos = np.uint32((1 << fmt.n) - fmt.maxpos_pattern)
+        cancel = np.where(np.arange(in_dim) % 2, neg_maxpos, maxpos)
+        cancel[-1] = np.uint32(fmt.minpos_pattern)
+        rows = [np.full(in_dim, maxpos), np.full(in_dim, neg_maxpos), cancel]
+        rows += list(scrub(fmt, rng.integers(0, 256, size=(13, in_dim))))
+        return np.asarray(rows, dtype=np.uint32)
+
+    @pytest.mark.parametrize("mode", formats.ROUNDING_MODES)
+    @pytest.mark.parametrize("top, planes", [(6, 1), (7, 2)])
+    def test_one_plane_edge_and_one_more_weight_bit(
+        self, scalar_dot, mode, top, planes
+    ):
+        backend = formats.get("posit8_1")
+        W, B = self.boundary_layer(backend, top)
+        X = self.boundary_rows(backend, np.random.default_rng(7), W.shape[1])
+        plan = backend.compile_network([(W, B, "identity")], rounding_mode=mode)
+        (row,) = plan.explain()
+        assert (row["path"], row["planes"]) == ("plane", planes)
+        assert row["quire_bits"] <= 62
+        expected = scalar_dot(backend.fmt, W, X, B, mode)
+        assert np.array_equal(plan.forward(X), expected)
+
+    @pytest.mark.parametrize("mode", formats.ROUNDING_MODES)
+    def test_fixed_point_int_min_weights(self, scalar_dot, mode):
+        """Every weight at ``int_min``: the widest fixed-point magnitude."""
+        backend = formats.get("fixed8_4")
+        fmt = backend.fmt
+        W = np.full((3, 9), fmt.int_min & fmt.mask, dtype=np.uint32)
+        rng = np.random.default_rng(8)
+        X = rng.integers(0, 1 << fmt.n, size=(12, 9)).astype(np.uint32)
+        X[0] = fmt.int_min & fmt.mask
+        X[1] = fmt.int_max
+        B = rng.integers(0, 1 << fmt.n, size=3).astype(np.uint32)
+        plan = backend.compile_network([(W, B, "identity")], rounding_mode=mode)
+        (row,) = plan.explain()
+        assert (row["path"], row["planes"]) == ("plane", 1)
+        assert np.array_equal(plan.forward(X), scalar_dot(fmt, W, X, B, mode))
+
+
 class TestFixedRule:
-    """Without ``force_path``, each layer's path is a fixed function of it."""
+    """Without ``force_path``, each layer's path is a fixed function of it:
+    ``plane`` for every single-word layer, ``layer`` past 62 bits."""
 
     def test_wide_fan_in_takes_plane(self):
         backend = formats.get("posit8_1")
         layer = narrow_layer(backend, np.random.default_rng(21), 117, 24)
         (row,) = backend.compile_network([layer]).explain()
-        assert row["eligible"] == ["plane", "int64", "layer"]
-        assert row["path"] == "plane"
+        assert row["eligible"] == ["plane", "layer"]
+        assert (row["path"], row["planes"]) == ("plane", 1)
 
     # posit<8,2> is left out: its maxpos activations overflow the
     # single-word quire at any fan-in, so it always takes ``layer``.
@@ -394,18 +485,29 @@ class TestFixedRule:
         "name", ["posit6_0", "posit8_0", "posit8_1", "float4_3", "float3_4",
                  "float2_5"],
     )
-    def test_narrow_fan_in_takes_int64(self, name, fan_in):
+    def test_narrow_fan_in_takes_plane(self, name, fan_in):
         backend = formats.get(name)
         layer = narrow_layer(backend, np.random.default_rng(fan_in), fan_in, 8)
         (row,) = backend.compile_network([layer]).explain()
-        assert "plane" in row["eligible"]
-        assert row["path"] == "int64"
+        assert row["eligible"] == ["plane", "layer"]
+        assert (row["path"], row["planes"]) == ("plane", 1)
 
     def test_maxpos_heavy_posit8_2_takes_layer(self):
         backend = formats.get("posit8_2")
         (row,) = backend.compile_network([maxpos_layer(backend, 4, 3)]).explain()
+        assert row["quire_bits"] > 62
         assert row["eligible"] == ["layer"]
-        assert row["path"] == "layer"
+        assert (row["path"], row["planes"]) == ("layer", None)
+
+    def test_table2_deployments_take_one_plane(self):
+        """Every layer of the nine served deployments is one GEMM."""
+        plans = deployment_plans()
+        assert len(plans) == len(TABLE2_DEPLOYMENTS)
+        for (dataset, fmt), report in zip(TABLE2_DEPLOYMENTS, plans):
+            for row in report:
+                assert (row["path"], row["planes"]) == ("plane", 1), (
+                    dataset, fmt, row["layer"],
+                )
 
     def test_explain_identical_across_processes(self, tmp_path, monkeypatch):
         """Two fresh interpreters build the same nine Table II plans."""
