@@ -178,16 +178,17 @@ def _formats_explain(spec: str) -> str:
     lines = [
         f"[{dataset}, {backend.label}] fused network plan "
         f"(mode={net.rounding_mode})",
-        f"{'layer':<6}{'shape':<12}{'act':<10}{'path':<7}{'planes':<8}"
-        f"{'quire':<7}{'operands':<10}{'tables':<10}eligible",
+        f"{'layer':<6}{'shape':<12}{'act':<10}{'planes':<8}"
+        f"{'quire':<7}{'wide':<6}{'operands':<10}tables",
     ]
     for row in report:
         shape = f"{row['in_features']}->{row['out_features']}"
+        planes = f"{row['planes']}x{row['weight_planes']}"
         lines.append(
             f"{row['layer']:<6}{shape:<12}{row['activation']:<10}"
-            f"{row['path']:<7}{row['planes'] or '-':<8}{row['quire_bits']:<7}"
-            f"{row['wants']:<10}"
-            f"{row['table_bytes'] / 1024:>7.1f}KB {'/'.join(row['eligible'])}"
+            f"{planes:<8}{row['quire_bits']:<7}"
+            f"{'yes' if row['wide'] else 'no':<6}{row['wants']:<10}"
+            f"{row['table_bytes'] / 1024:>7.1f}KB"
         )
     total = sum(row["table_bytes"] for row in report)
     lines.append(f"total compiled-table footprint: {total / 1024:.1f}KB")

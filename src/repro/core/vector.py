@@ -8,8 +8,7 @@ results with numpy:
   ``(weights, bias)`` into a one-layer fused plan
   (:meth:`~repro.formats.NumericFormat.compile_network`,
   :mod:`repro.formats.network`) and runs it — the same production path a
-  whole network's forward takes, with its exact float64 digit-plane GEMMs
-  and its one wide-quire fallback;
+  whole network's forward takes, with its exact float64 digit-plane GEMMs;
 * ``TableVectorEngine.dot_reference`` retains the PR 1 path: every
   pattern's exact aligned value ``(-1)**sign * sig << shift`` decomposed
   into signed base-``2**LIMB_BITS`` digits, one float64 matmul per (l, m)
@@ -44,6 +43,7 @@ __all__ = [
     "FloatVectorEngine",
     "PositVectorEngine",
     "TableVectorEngine",
+    "digit_planes",
     "engine_for",
 ]
 
@@ -141,6 +141,35 @@ class FixedVectorEngine(VectorEngine):
         return fx.quantize_array(self.fmt, values)
 
 
+def digit_planes(backend: formats.NumericFormat) -> np.ndarray:
+    """The backend's signed base-``2**LIMB_BITS`` digit table, memoized.
+
+    Entry ``[p, l]`` is pattern ``p``'s signed digit of weight
+    ``2**(LIMB_BITS * l)`` in quire-LSB units of one *input*.  Digits are
+    ``< 2**LIMB_BITS`` and stored as float64 (exactly representable) so the
+    reference's digit-plane contractions run on BLAS.  Built once per
+    backend; the registry caches backends per format key.
+    """
+
+    def build():
+        tables = backend.limb_tables()
+        if tables is None:
+            raise TypeError(f"{backend.name} has no limb decode tables")
+        sig = tables.signed_sig
+        coarse, rem = np.divmod(tables.shift, LIMB_BITS)
+        m = np.abs(sig) << rem  # < 2**(sig_bits + LIMB_BITS - 1), fits easily
+        num = (tables.max_shift // 2 + tables.sig_bits) // LIMB_BITS + 2
+        digits = np.zeros((sig.shape[0], num), dtype=np.int64)
+        rows = np.arange(sig.shape[0])
+        mask = (1 << LIMB_BITS) - 1
+        for l in range((tables.sig_bits + LIMB_BITS - 1) // LIMB_BITS + 1):
+            digits[rows, coarse + l] += (m >> (LIMB_BITS * l)) & mask
+        digits *= np.sign(sig)[:, None]
+        return digits.astype(np.float64)
+
+    return backend._memo("_digit_planes", build)
+
+
 class TableVectorEngine(VectorEngine):
     """Limb-accumulating engine over any table-driven format backend.
 
@@ -159,8 +188,8 @@ class TableVectorEngine(VectorEngine):
             raise ValueError("significand products too wide for int64 limbs")
         self._num_limbs = (tables.max_shift + max_term_bits) // LIMB_BITS + 2
         self._tables = tables
-        # Shared per-backend signed digit table (see formats.kernels).
-        self._digits = formats.digit_planes(backend)
+        # Shared per-backend signed digit table.
+        self._digits = digit_planes(backend)
 
     @property
     def width(self) -> int:

@@ -21,10 +21,8 @@ from .kernels import (
     check_format_patterns,
     check_patterns,
     clear_scratch,
-    digit_planes,
 )
 from .network import (
-    NETWORK_PATHS,
     NetworkKernel,
     RoundTable,
     operand_values,
@@ -57,13 +55,11 @@ from .posit_backend import PositBackend
 __all__ = [
     "NumericFormat",
     "LimbTables",
-    "digit_planes",
     "check_patterns",
     "check_format_patterns",
     "clear_scratch",
     "NetworkKernel",
     "RoundTable",
-    "NETWORK_PATHS",
     "round_table",
     "operand_values",
     "LIMB_BITS",

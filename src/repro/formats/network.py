@@ -14,12 +14,12 @@ A :class:`NetworkKernel` compiles a whole layer stack into one chained
 plan in which intermediate activations never materialize beyond their
 patterns (and usually not even as patterns — see *operand fusion* below):
 
-* **Round-table epilogue.** In single-word mode every layer output is an
-  exact int64 quire ``word``, and rounding is a monotone step function of
-  it.  At compile time the step function's breakpoints are found by binary
-  search *against the backend's own encoder* (:func:`round_table`), so the
-  whole round-once stage becomes one ``searchsorted`` over at most
-  ``2**n + 1`` int64 thresholds plus one table gather — bit-identical to
+* **Round-table epilogue.** Every layer output is an exact quire, and
+  rounding is a monotone step function of it.  At compile time the step
+  function's breakpoints over the int64 window ``|word| <= 2**62`` are
+  found by binary search *against the backend's own encoder*
+  (:func:`round_table`), so the round-once stage becomes an O(1) bucket
+  lookup plus one table gather — bit-identical to
   ``encode_from_quire_words`` by construction, for both rounding modes.
 * **Operand fusion.** The gather does not produce patterns and stop: the
   slot table is pre-composed with this layer's pattern-space ReLU map and
@@ -34,30 +34,31 @@ patterns (and usually not even as patterns — see *operand fusion* below):
   materialization for the readout rows.
 * **Inputs are validated once** per forward call, not once per layer.
 
-Per-layer words paths
----------------------
-Each layer's *words computation* is a fixed function of the layer, chosen
-at compile time with no timing, so every process builds the same plan for
-the same network:
+The words path
+--------------
+Every layer computes its quires the same way, fixed at compile time with
+no timing, so every process builds the same plan for the same network:
+exact integer products from float64 BLAS GEMMs, as in the Ozaki scheme
+(Ozaki, Ogita, Oishi & Rump, *Numer. Algorithms* 59, 2012).  Operands are
+exact integers (aligned values ``signed_sig << shift`` in quire-LSB units,
+or fixed point's signed integers) cut into signed digits of the widest
+width that keeps every GEMM sum an exact integer below ``2**52``; when the
+weights alone leave no such digit (maxpos-heavy rows), the weights are cut
+into digits too (:class:`_PlaneWords`).  The int64 casts of the plane
+GEMMs, shifted into place, add up to the quire word.  With one plane
+(every layer of the paper's served models) the step is a single GEMM over
+operand values that the previous epilogue hands over as float64.
 
-``plane``
-    Exact integer products from float64 BLAS GEMMs, as in the Ozaki
-    scheme (Ozaki, Ogita, Oishi & Rump, *Numer. Algorithms* 59, 2012):
-    operands are exact integers (aligned values ``signed_sig << shift`` in
-    quire-LSB units, or fixed point's signed integers) cut into signed
-    digits of the widest width that keeps every GEMM sum exact
-    (:class:`_PlaneWords`); the int64 casts of the plane GEMMs, shifted
-    into place, add up to the quire word.  With one plane (every layer of
-    the paper's trained models) the step is a single GEMM over operand
-    values that the previous epilogue hands over as float64.  Taken by
-    every single-word layer (quire bound below ``2**62``) that has such a
-    digit width.
-``layer``
-    The one wide-quire fallback: the limb kernel
-    (:class:`~repro.formats.kernels.TableLayerKernel`, one stacked
-    digit-plane GEMM plus limb normalization) and a composed epilogue
-    gather.  Used when the quire bound exceeds int64 (maxpos-heavy
-    weights, 16-bit posits).
+A *wide* layer — quire bound past 62 bits: posit7_2 and posit8_2 layers,
+maxpos-heavy weights, 12-bit formats — adds its shifted plane sums modulo
+``2**64``, which is exact for every quire inside the round table's window,
+and keeps beside them the float64 bound ``sum |plane sum| * 2**shift +
+|bias|``, whose terms are all non-negative so no cancellation can hide an
+out-of-window quire.  Quires whose bound is below ``2**61`` take the round
+table.  The rest are rounded by the backend's own
+``encode_from_quire_batch`` from exact limbs assembled out of the same
+plane sums, then pass through the same epilogue indexed by pattern — exact
+at any quire width.
 
 Fixed point computes its words the same way over its signed integers and
 keeps the Fig. 3 shift-round-clip epilogue inline (its clipped signed
@@ -65,18 +66,18 @@ outputs *are* monotone ranks, so the fused readout is a plain argmax).  A
 family must provide limb tables or be fixed point; compiling a plan for
 any other backend raises ``TypeError``.
 
-Exactness: ``plane`` and ``layer`` compute the same exact quire, and a
-``plane`` word goes through the same oracle-derived round table as any
-other int64 word — so every plan is bit-identical to the scalar EMACs
-(property-tested across every registered format, both rounding modes,
-single- and multi-plane layers, and every forced path in
+Exactness: every quire is computed exactly and goes through the
+oracle-derived round table or the backend's own encoder, so every plan is
+bit-identical to the scalar EMACs (property-tested across every registered
+format, both rounding modes, single- and multi-plane layers and wide
+quires on both sides of the table's window in
 ``tests/formats/test_network_kernel.py``).
 
 Obtain plans through :meth:`repro.formats.NumericFormat.compile_network`
 (or ``PositronNetwork.network_kernel()``, which recompiles automatically
-after ``recompile()``); ``explain()`` reports each layer's path, its
-eligible paths, plane count, quire-bound bits and compiled-table
-footprint — surfaced as ``python -m repro formats --explain
+after ``recompile()``); ``explain()`` reports each layer's activation and
+weight plane counts, quire-bound bits, whether it is wide, and its
+compiled-table footprint — surfaced as ``python -m repro formats --explain
 DATASET:FORMAT``.
 """
 
@@ -89,32 +90,38 @@ from . import kernels as _kernels
 from .base import NumericFormat
 from .fixed_backend import FixedBackend
 from .kernels import (
-    TableLayerKernel,
     _check_weights,
     _scratch,
     check_format_patterns,
     check_patterns,
 )
-from .quire import arithmetic_shift_round, bit_length_int64, check_rounding_mode
+from .quire import (
+    LIMB_BITS,
+    arithmetic_shift_round,
+    bit_length_int64,
+    check_rounding_mode,
+)
 
 __all__ = [
     "NetworkKernel",
     "RoundTable",
     "operand_values",
     "round_table",
-    "NETWORK_PATHS",
 ]
 
-#: Per-layer words-computation paths (``force_path`` values).
-NETWORK_PATHS = ("plane", "layer")
-
-#: Single-word quires are bounded by ``|word| < 2**62``; the round tables
-#: cover exactly that window.
+#: The round tables cover the single-word window ``|word| <= 2**62``.
 _WORD_CAP = np.int64(1) << 62
 
-#: Every sum of a ``plane`` GEMM stays an integer below ``2**_EXACT_BITS``,
+#: Every sum of a plane GEMM stays an integer below ``2**_EXACT_BITS``,
 #: inside float64's exact-integer range (``2**53``).
 _EXACT_BITS = 52
+
+#: A wide quire whose float64 magnitude bound is below this takes the round
+#: table: the bound's relative rounding error is far below the factor of
+#: two left to the table's window.
+_TABLE_BOUND = 2.0**61
+
+_LIMB_MASK = (1 << LIMB_BITS) - 1
 
 #: Mantissa-bit depth range of the round-table bucket grid: the smallest
 #: ``m`` whose buckets separate all boundaries wins.  Adjacent boundaries
@@ -148,67 +155,202 @@ def operand_values(backend: NumericFormat) -> np.ndarray:
     return backend._memo("_operand_values", build)
 
 
+def _bits(x: float) -> int:
+    """Bit length of a non-negative float64 integer (0 for 0)."""
+    return int(np.frexp(x)[1])
+
+
+def _signed_digits(values: np.ndarray, bits: int, top: int) -> list[np.ndarray]:
+    """Exact float64 integers below ``2**top`` as signed ``bits``-bit digits.
+
+    Lowest digit first; ``values == sum_m digits[m] * 2**(bits * m)``, and
+    every digit carries its value's sign.
+    """
+    mag = np.abs(values)
+    radix = 2.0**bits
+    return [
+        np.copysign(np.fmod(np.floor(np.ldexp(mag, -bits * m)), radix), values)
+        for m in range(max(1, -(-top // bits)))
+    ]
+
+
 class _PlaneWords:
-    """Exact int64 words ``A @ W.T`` of integer operands, on float64 GEMMs.
+    """Exact quire words ``A @ W.T + b`` of integer operands, on float64 GEMMs.
 
     ``values`` (per pattern), ``w_vals`` (``(out, in)``) and ``b_vals`` (bias
     words or ``None``) are exact float64 integers.  ``quire_bits`` bounds
     every quire, ``S * max|a| + max|b|`` plus two guard bits, with
-    ``S = max_o sum_i |w_oi|``.  Operands are cut into signed digits of
-    ``digit_bits = 52 - bitlen(S)`` bits, so each plane's GEMM sums stay
-    below ``S * 2**digit_bits < 2**52`` in any order (float64 ``S`` is exact
-    below ``2**53``).  ``planes = ceil(a_bits / digit_bits)``, or 0 if the
-    layer is not single-word or ``digit_bits < 1``.  With one plane the
-    digit is the value, so the step consumes float64 values (``wants ==
-    "value"``); with more it gathers each plane's digits by pattern.
+    ``S = max_o sum_i |w_oi|``.  Activations are cut into ``planes`` signed
+    digits of ``digit_bits = 52 - bitlen(S)`` bits, so each plane's GEMM sums
+    stay below ``S * 2**digit_bits <= 2**52`` in any order (float64 ``S`` is
+    exact below ``2**53``).  When that leaves no digit (``digit_bits < 1``)
+    the weights are cut too, into signed digits of the width that fewest
+    plane GEMMs need, and ``S`` becomes the largest weight plane's;
+    all-zero weight planes are pruned.  The ``weight_planes`` stack along
+    the GEMM's output axis, so each activation plane is one GEMM.  With one
+    activation plane the digit is the value, so the step consumes float64
+    values (``wants == "value"``); with more it gathers each plane's digits
+    by pattern.
+
+    A call returns ``(words, far)``.  The words are the exact quires when
+    the layer is single-word (``quire_bits <= 62``, ``far`` is ``None``).
+    A *wide* layer's words are the quires modulo ``2**64``; ``far`` then
+    holds the flat indices and exact limbs of the quires whose float64
+    magnitude bound reaches :data:`_TABLE_BOUND`, or is ``None`` if none
+    does.
     """
 
     def __init__(self, values, w_vals, b_vals):
-        self.w_t = np.ascontiguousarray(w_vals.T)
-        mag = np.abs(values)
-        act_max = float(mag.max(initial=0.0))
-        s = float(np.abs(w_vals).sum(axis=1).max(initial=0.0))
+        self.out_features, self.in_features = w_vals.shape
+        act_max = float(np.abs(values).max(initial=0.0))
+        w_abs = np.abs(w_vals)
+        s = float(w_abs.sum(axis=1).max(initial=0.0))
         b_max = 0.0 if b_vals is None else float(np.abs(b_vals).max(initial=0.0))
         bound = s * act_max + b_max
-        self.quire_bits = int(np.frexp(bound)[1]) + 2 if bound else 1
-        self.digit_bits = d = _EXACT_BITS - int(np.frexp(s)[1])
-        self.planes = 0
-        if self.quire_bits <= 62 and d >= 1:
-            self.planes = max(1, -(-int(np.frexp(act_max)[1]) // d))
+        self.quire_bits = _bits(bound) + 2 if bound else 1
+        self.wide = self.quire_bits > 62
+        a_top = _bits(act_max)
+
+        w_planes, wb = [(0, w_vals)], 0
+        d = _EXACT_BITS - _bits(s)
+        if d < 1:
+            # Two-sided: weight digits of ``wb`` bits sum to under
+            # ``2**(bitlen(in) + wb)`` per row, leaving activation digits of
+            # at least ``budget - wb`` bits.
+            budget = _EXACT_BITS - self.in_features.bit_length()
+            w_top = _bits(float(w_abs.max()))
+            wb = min(
+                range(1, budget),
+                key=lambda b: -(-w_top // b) * -(-a_top // (budget - b)),
+            )
+            w_planes = [
+                (l, p)
+                for l, p in enumerate(_signed_digits(w_vals, wb, w_top))
+                if p.any()
+            ]
+            s = max(float(np.abs(p).sum(axis=1).max()) for _, p in w_planes)
+            d = _EXACT_BITS - _bits(s)
+        self.digit_bits = d
+        self.planes = max(1, -(-a_top // d))
+        self.weight_planes = len(w_planes)
+        self.w_t = np.ascontiguousarray(np.concatenate([p for _, p in w_planes]).T)
+        # Bit position of each (activation plane, weight plane) GEMM block.
+        self.shifts = [
+            [d * m + wb * l for l, _ in w_planes]
+            for m in range(self.planes)
+        ]
         self.tables = [values]
         if self.planes > 1:
-            radix = 2.0**d
-            self.tables = [
-                np.copysign(np.fmod(np.floor(np.ldexp(mag, -d * m)), radix), values)
-                for m in range(self.planes)
-            ]
+            self.tables = _signed_digits(values, d, a_top)
         self.wants = "value" if self.planes == 1 else "pattern"
 
+        self.bias_words = self.bias_limbs = None
+        if b_vals is not None:
+            ints = [int(v) for v in b_vals.tolist()]
+            # Modulo 2**64 like the words (exact for single-word layers).
+            self.bias_words = np.array(
+                [(v + (1 << 63)) % (1 << 64) - (1 << 63) for v in ints],
+                dtype=np.int64,
+            )
+        if self.wide:
+            top_shift = self.shifts[-1][-1]
+            self.limb_count = L = (
+                max(self.quire_bits, top_shift + 2 * LIMB_BITS) // LIMB_BITS + 1
+            )
+            self.bias_mag = None if b_vals is None else np.abs(b_vals)
+            if b_vals is not None:
+                # Canonical limbs below a signed top limb.
+                self.bias_limbs = np.array(
+                    [
+                        [(v >> (LIMB_BITS * k)) & _LIMB_MASK for k in range(L - 1)]
+                        + [v >> (LIMB_BITS * (L - 1))]
+                        for v in ints
+                    ],
+                    dtype=np.int64,
+                )
+
+    def row_elements(self) -> int:
+        """Scratch elements per batch row: staged operands, GEMM output,
+        words, and a wide layer's kept plane sums and bound."""
+        kept = self.planes * self.weight_planes if self.wide else self.weight_planes
+        return self.in_features + (kept + 1 + self.wide) * self.out_features
+
     def __call__(self, ops, scratch, tag):
-        rows, out_dim = ops.shape[0], self.w_t.shape[1]
+        rows, out_dim = ops.shape[0], self.out_features
         words = scratch.get((rows, out_dim), np.int64, tag + "w")
-        # The GEMM output shares the step's float64 output buffer: the
-        # products are dead once cast to words.
-        prod = scratch.get((rows, out_dim), np.float64, tag + "o")
-        if self.planes == 1:
+        if not self.wide and self.planes == self.weight_planes == 1:
+            # One GEMM.  Its output shares the step's float64 output buffer:
+            # the products are dead once cast to words.
+            prod = scratch.get((rows, out_dim), np.float64, tag + "o")
             np.matmul(ops, self.w_t, out=prod)
             words[:] = prod  # exact: integers below 2**52
-            return words
-        words.fill(0)
+            if self.bias_words is not None:
+                words += self.bias_words
+            return words, None
+
+        wide = self.wide
+        cols = self.w_t.shape[1]
+        if wide:
+            # Kept plane sums (the limbs of far quires come from them) and
+            # the magnitude bound, seeded with |bias|.
+            sums = scratch.get((self.planes, rows, cols), np.float64, tag + "p")
+            bound = scratch.get((rows, out_dim), np.float64, tag + "b")
+            mag = scratch.get((rows, out_dim), np.float64, tag + "o")
+            if self.bias_mag is None:
+                bound.fill(0.0)
+            else:
+                bound[:] = self.bias_mag
+        else:
+            prod = scratch.get((rows, cols), np.float64, tag + "o")
+        if self.bias_words is None:
+            words.fill(0)
+        else:
+            words[:] = self.bias_words
         staged = scratch.get(ops.shape, np.float64, tag + "a")
         shifted = scratch.get((rows, out_dim), np.int64, tag + "s")
-        for m, table in enumerate(self.tables):
-            np.take(table, ops, out=staged)
-            np.matmul(staged, self.w_t, out=prod)
-            shifted[:] = prod
-            shifted <<= self.digit_bits * m
-            words += shifted
-        return words
+        # Shifts and sums on wrapping uint64 views: exact modulo 2**64.
+        words_u, shifted_u = words.view(np.uint64), shifted.view(np.uint64)
+        for m, (table, shifts) in enumerate(zip(self.tables, self.shifts)):
+            a = ops if self.planes == 1 else np.take(table, ops, out=staged)
+            gemm = sums[m] if wide else prod
+            np.matmul(a, self.w_t, out=gemm)
+            for j, shift in enumerate(shifts):
+                plane = gemm[:, j * out_dim:(j + 1) * out_dim]
+                if shift < 64:  # higher planes vanish modulo 2**64
+                    shifted[:] = plane  # exact: integers below 2**52
+                    shifted_u <<= shift
+                    words_u += shifted_u
+                if wide:
+                    np.abs(plane, out=mag)
+                    mag *= 2.0**shift
+                    bound += mag
+        if not wide:
+            return words, None
+        far = np.flatnonzero(bound >= _TABLE_BOUND)
+        return words, ((far, self._limbs(sums, far)) if far.size else None)
+
+    def _limbs(self, sums, far):
+        """Exact unnormalized quire limbs at the flat indices ``far``."""
+        out_dim = self.out_features
+        rows, cols = np.divmod(far, out_dim)
+        limbs = np.zeros((far.size, self.limb_count), dtype=np.int64)
+        if self.bias_limbs is not None:
+            limbs += self.bias_limbs[cols]
+        for m, shifts in enumerate(self.shifts):
+            for j, shift in enumerate(shifts):
+                p = sums[m, rows, cols + j * out_dim].astype(np.int64)
+                k, r = divmod(shift, LIMB_BITS)
+                # p == low + high * 2**LIMB_BITS; both halves, shifted by
+                # r < LIMB_BITS, stay far inside int64.
+                limbs[:, k] += (p & _LIMB_MASK) << r
+                limbs[:, k + 1] += (p >> LIMB_BITS) << r
+        return limbs
 
     def table_bytes(self) -> int:
         # One plane reuses the backend's memoized operand values.
         digits = 0 if self.planes == 1 else sum(t.nbytes for t in self.tables)
-        return self.w_t.nbytes + digits
+        limbs = 0 if self.bias_limbs is None else self.bias_limbs.nbytes
+        return self.w_t.nbytes + digits + limbs
 
 
 def _round_key(words: np.ndarray, m: int) -> np.ndarray:
@@ -236,12 +378,11 @@ class RoundTable:
 
     ``slot_patterns[self.indices(word)]`` equals
     ``encode_from_quire_words(word, mode=mode)`` for every
-    ``|word| <= 2**62`` — the whole single-word window the compiled
-    kernels can produce.  ``boundaries`` are the breakpoints of the
-    (monotone) word -> pattern step function, found by vectorized binary
-    search with the backend's own batched encoder as the oracle, so
-    agreement is by construction rather than by re-deriving each family's
-    rounding rules.
+    ``|word| <= 2**62`` — the window in which the plans round by table.
+    ``boundaries`` are the breakpoints of the (monotone) word -> pattern
+    step function, found by vectorized binary search with the backend's own
+    batched encoder as the oracle, so agreement is by construction rather
+    than by re-deriving each family's rounding rules.
 
     ``indices`` avoids a per-word binary search: the :func:`_round_key`
     grid is built (at the smallest mantissa depth ``m``) such that every
@@ -369,62 +510,70 @@ def round_table(backend: NumericFormat, mode: str = "rne") -> RoundTable:
 # Per-layer steps
 # ----------------------------------------------------------------------
 class _TableStep:
-    """One single-word table-format layer: plane words + fused epilogue.
+    """One table-format layer: plane words + fused epilogue.
 
     ``wants`` names the operand representation the step consumes (see
     :class:`_PlaneWords`).  The *previous* step's epilogue produces it
-    directly; :meth:`finalize` composes this step's own epilogue table the
-    same way for its consumer.
+    directly; :meth:`finalize` composes this step's own epilogue tables the
+    same way for its consumer: one indexed by round-table slot and, for a
+    wide layer, one indexed by the pattern the encoder returns for quires
+    past the table's window.
     """
 
-    path = "plane"
-
-    def __init__(self, backend, tables, words, bp, activation, mode):
+    def __init__(self, backend, tables, words, activation, mode):
         self.backend = backend
         self.tables = tables
         self.activation = activation
+        self.mode = mode
         self.words, self.wants = words, words.wants
-        self.in_features, self.out_features = words.w_t.shape
+        self.in_features = words.in_features
+        self.out_features = words.out_features
         self.rt = round_table(backend, mode)
-        self.bias_words = None
-        if bp is not None:
-            self.bias_words = tables.signed_sig[bp] << (
-                tables.shift[bp] + tables.bias_extra_shift
-            )
 
     # -- epilogue composition -------------------------------------------
-    def _compose(self, wants: str | None) -> np.ndarray:
-        slots = self.rt.slot_patterns
+    def _compose(self, wants: str | None, patterns: np.ndarray) -> np.ndarray:
         if self.activation == "relu":
-            slots = self.tables.relu[slots]
+            patterns = self.tables.relu[patterns]
         if wants == "value":
-            return operand_values(self.backend)[slots]
+            return operand_values(self.backend)[patterns]
         if wants == "rank":
-            return self.backend.rank_table()[slots]
-        return np.ascontiguousarray(slots)  # "pattern" / final output
+            return self.backend.rank_table()[patterns]
+        return np.ascontiguousarray(patterns)  # "pattern" / final output
+
+    def _epilogue(self, wants: str | None):
+        """``(by slot, by pattern or None)`` epilogue tables for ``wants``."""
+        by_pattern = None
+        if self.words.wide:
+            by_pattern = self._compose(wants, np.arange(self.tables.relu.size))
+        return self._compose(wants, self.rt.slot_patterns), by_pattern
 
     def finalize(self, next_wants: str | None) -> None:
-        self.slot_out = self._compose(next_wants)
-        self.slot_rank = None  # readout variant, built for the last step
+        self.out_tables = self._epilogue(next_wants)
+        self.rank_tables = None  # readout variant, built for the last step
 
     def finalize_readout(self) -> None:
-        self.slot_rank = self._compose("rank")
+        self.rank_tables = self._epilogue("rank")
 
     # -- execution ------------------------------------------------------
     def run(self, ops, scratch, tag, readout=False):
-        words = self.words(ops, scratch, tag)
-        if self.bias_words is not None:
-            words += self.bias_words
+        words, far = self.words(ops, scratch, tag)
         # Fused epilogue: round-once + ReLU + the consumer's operand
         # gather, as one O(1) slot lookup and one table take.
         idx = self.rt.indices(words)
-        table = self.slot_rank if readout else self.slot_out
-        out = scratch.get(words.shape, table.dtype, tag + "o")
-        np.take(table, idx, out=out.ravel())
+        by_slot, by_pattern = self.rank_tables if readout else self.out_tables
+        out = scratch.get(words.shape, by_slot.dtype, tag + "o")
+        np.take(by_slot, idx, out=out.ravel())
+        if far is not None:
+            flat, limbs = far
+            patterns = self.backend.encode_from_quire_batch(limbs, mode=self.mode)
+            out.ravel()[flat] = by_pattern[patterns]
         return out
 
     def table_bytes(self) -> int:
-        rt_bytes = self.rt.boundaries.nbytes + self.slot_out.nbytes
+        by_slot, by_pattern = self.out_tables
+        rt_bytes = self.rt.boundaries.nbytes + by_slot.nbytes
+        if by_pattern is not None:
+            rt_bytes += by_pattern.nbytes
         return rt_bytes + self.words.table_bytes()
 
 
@@ -434,9 +583,8 @@ class _FixedStep:
     The words are those of the signed integers the patterns scale, so
     ReLU is ``max(v, 0)`` and the clipped outputs are already monotone in
     value — the fused readout argmaxes them directly, no rank table needed.
+    Fixed-point quires (``n <= 16``) stay single-word at any real fan-in.
     """
-
-    path = "plane"
 
     def __init__(self, backend, weights, bias, activation, mode):
         fmt = backend.fmt
@@ -446,13 +594,12 @@ class _FixedStep:
         self.mode = mode
         self.activation = activation
         self.out_features, self.in_features = weights.shape
-        self.bias_term = (
-            None if bias is None else fx.signed_array(fmt, bias) << fmt.q
-        )
         self.words = _PlaneWords(
             operand_values(backend),
             fx.signed_array(fmt, weights).astype(np.float64),
-            None if bias is None else self.bias_term.astype(np.float64),
+            None
+            if bias is None
+            else (fx.signed_array(fmt, bias) << fmt.q).astype(np.float64),
         )
         self.wants = self.words.wants
         # Clipping and ReLU in one pass: ReLU raises the floor to 0.
@@ -466,9 +613,7 @@ class _FixedStep:
 
     def run(self, ops, scratch, tag, readout=False):
         fmt = self.fmt
-        words = self.words(ops, scratch, tag)
-        if self.bias_term is not None:
-            words += self.bias_term
+        words, _ = self.words(ops, scratch, tag)
         v = arithmetic_shift_round(words, fmt.q, self.mode)
         np.maximum(v, self.floor, out=v)
         np.minimum(v, fmt.int_max, out=v)
@@ -485,55 +630,6 @@ class _FixedStep:
         return self.words.table_bytes()
 
 
-class _LayerStep:
-    """Wide-quire fallback: the limb kernel plus a composed epilogue LUT.
-
-    Covers layers whose quire bound exceeds int64 (no single-word round
-    table).  Still fuses ReLU-and-operand conversion into one
-    pattern-indexed gather.
-    """
-
-    path = "layer"
-    wants = "pattern"
-
-    def __init__(self, backend, kernel, activation, words):
-        self.backend = backend
-        self.kernel = kernel
-        self.activation = activation
-        self.words = words  # reported by explain() only
-        self.out_features = kernel.out_features
-        self.in_features = kernel.in_features
-
-    def _compose(self, wants: str | None) -> np.ndarray | None:
-        lut = np.arange(1 << self.backend.width, dtype=np.int64)
-        identity = True
-        if self.activation == "relu":
-            lut = self.backend.relu_batch(lut.astype(np.uint32)).astype(np.int64)
-            identity = False
-        if wants == "value":
-            lut = operand_values(self.backend)[lut]
-            identity = False
-        elif wants == "rank":
-            lut = self.backend.rank_table()[lut]
-            identity = False
-        return None if identity else lut
-
-    def finalize(self, next_wants: str | None) -> None:
-        self.out_lut = self._compose(next_wants)
-        self.rank_lut = None
-
-    def finalize_readout(self) -> None:
-        self.rank_lut = self._compose("rank")
-
-    def run(self, ops, scratch, tag, readout=False):
-        out = self.kernel(ops).astype(np.int64)  # ops: validated patterns
-        lut = self.rank_lut if readout else self.out_lut
-        return out if lut is None else lut[out]
-
-    def table_bytes(self) -> int:
-        return 0 if self.out_lut is None else self.out_lut.nbytes
-
-
 # ----------------------------------------------------------------------
 # The compiled network plan
 # ----------------------------------------------------------------------
@@ -545,11 +641,8 @@ class NetworkKernel:
     :meth:`forward` returns the exact output patterns, bit-identical to
     one scalar EMAC per neuron with pattern ReLU between layers;
     :meth:`predict` returns rank-argmax class labels without materializing
-    the readout.
-
-    Each layer's words path is a fixed function of the layer (see the
-    module docstring).  ``force_path`` pins every layer to one path
-    instead (testing hook; raises if a layer is not eligible for it).
+    the readout.  Every layer takes the one words path of the module
+    docstring.
     """
 
     def __init__(
@@ -558,19 +651,13 @@ class NetworkKernel:
         layers,
         *,
         rounding_mode: str = "rne",
-        force_path: str | None = None,
     ):
         if not layers:
             raise ValueError("network kernel needs at least one layer")
-        if force_path is not None and force_path not in NETWORK_PATHS:
-            raise ValueError(
-                f"force_path must be one of {NETWORK_PATHS}, got {force_path!r}"
-            )
         self.backend = backend
         self.rounding_mode = check_rounding_mode(rounding_mode)
         self._tables = backend.limb_tables()
         self.steps = []
-        self._eligible = []
         prev_out = None
         for i, (weights, bias, activation) in enumerate(layers):
             weights, bias = _check_weights(weights, bias)
@@ -580,11 +667,7 @@ class NetworkKernel:
                     f"fan-out {prev_out}"
                 )
             prev_out = weights.shape[0]
-            step, eligible = self._plan_layer(
-                weights, bias, activation, force_path
-            )
-            self.steps.append(step)
-            self._eligible.append(eligible)
+            self.steps.append(self._plan_layer(weights, bias, activation))
 
         # Compose every epilogue for its consumer; the last step gets the
         # rank-readout variant too.
@@ -597,12 +680,7 @@ class NetworkKernel:
         self.out_features = self.steps[-1].out_features
 
     # ------------------------------------------------------------------
-    def _plan_layer(self, weights, bias, activation, force_path):
-        """``(step, eligible paths)`` for one layer.
-
-        The fixed rule: ``plane`` when :class:`_PlaneWords` finds the layer
-        single-word with an exact digit width, ``layer`` otherwise.
-        """
+    def _plan_layer(self, weights, bias, activation):
         backend, tables = self.backend, self._tables
         mode = self.rounding_mode
         if tables is None:
@@ -611,36 +689,18 @@ class NetworkKernel:
                     f"{backend.name} has no limb tables and is not fixed "
                     f"point; no plan can compute its dot products"
                 )
-            if force_path not in (None, "plane"):
-                raise ValueError(
-                    f"fixed point supports only the plane path, "
-                    f"not {force_path!r}"
-                )
-            step = _FixedStep(backend, weights, bias, activation, mode)
-            return step, ("plane",)
+            return _FixedStep(backend, weights, bias, activation, mode)
 
         wp = check_patterns(tables, weights, "weights")
-        bp = None if bias is None else check_patterns(tables, bias, "bias")
         sig = tables.signed_sig.astype(np.float64)
         b_vals = None
-        if bp is not None:
+        if bias is not None:
+            bp = check_patterns(tables, bias, "bias")
             b_vals = np.ldexp(sig[bp], tables.shift[bp] + tables.bias_extra_shift)
         words = _PlaneWords(
             operand_values(backend), np.ldexp(sig[wp], tables.shift[wp]), b_vals
         )
-        eligible = ("plane", "layer") if words.planes else ("layer",)
-        chosen = eligible[0] if force_path is None else force_path
-        if chosen not in eligible:
-            raise ValueError(
-                f"layer shape {wp.shape} is not eligible for the "
-                f"{force_path!r} path (eligible: {eligible})"
-            )
-        if chosen == "layer":
-            kernel = TableLayerKernel(backend, tables, wp, bp, mode)
-            step = _LayerStep(backend, kernel, activation, words)
-        else:
-            step = _TableStep(backend, tables, words, bp, activation, mode)
-        return step, eligible
+        return _TableStep(backend, tables, words, activation, mode)
 
     # ------------------------------------------------------------------
     def _prepare(self, patterns) -> np.ndarray:
@@ -663,7 +723,7 @@ class NetworkKernel:
 
     def _chunk_rows(self) -> int:
         cap = _kernels._CHUNK_ELEMENTS
-        widest = max(s.in_features + 2 * s.out_features for s in self.steps)
+        widest = max(s.words.row_elements() for s in self.steps)
         return max(1, cap // widest)
 
     def _run(self, patterns, readout: bool):
@@ -699,7 +759,10 @@ class NetworkKernel:
 
     # ------------------------------------------------------------------
     def explain(self) -> list[dict]:
-        """Per-layer path, eligible paths, planes, quire bits, table bytes."""
+        """Per layer: shape, activation, consumed operand view, activation x
+        weight plane counts, quire-bound bits, whether the quire is wide
+        (past 62 bits) and compiled-table bytes.  ``path`` names the one
+        words path, ``plane``."""
         return [
             {
                 "layer": i,
@@ -707,11 +770,12 @@ class NetworkKernel:
                 "out_features": step.out_features,
                 "activation": step.activation,
                 "wants": step.wants,
-                "path": step.path,
-                "eligible": list(eligible),
-                "planes": step.words.planes if step.path == "plane" else None,
+                "path": "plane",
+                "planes": step.words.planes,
+                "weight_planes": step.words.weight_planes,
+                "wide": step.words.wide,
                 "quire_bits": step.words.quire_bits,
                 "table_bytes": step.table_bytes(),
             }
-            for i, (step, eligible) in enumerate(zip(self.steps, self._eligible))
+            for i, step in enumerate(self.steps)
         ]

@@ -15,7 +15,6 @@ from .quire import Quire
 from .tables import (
     PositTables,
     dequantize_array,
-    nearest_pattern_table,
     quantize_array,
     tables_for,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "tables_for",
     "quantize_array",
     "dequantize_array",
-    "nearest_pattern_table",
     "sqrt",
     "reciprocal",
     "pow2_int",

@@ -196,17 +196,3 @@ def dequantize_array(fmt: PositFormat, patterns: np.ndarray) -> np.ndarray:
     """Map posit patterns back to float64 values via the tables."""
     t = tables_for(fmt)
     return t.float_value[np.asarray(patterns, dtype=np.int64)]
-
-
-def nearest_pattern_table(fmt: PositFormat) -> np.ndarray:
-    """Sorted (value, pattern) pairs for all real patterns of ``fmt``.
-
-    Returns a ``(2**n - 1, 2)`` float64/uint32 structured view used by the
-    fast midpoint-bisection quantizer in :mod:`repro.nn.quantize`.
-    """
-    t = tables_for(fmt)
-    real = ~t.is_nar
-    patterns = np.nonzero(real)[0].astype(np.uint32)
-    values = t.float_value[real]
-    order = np.argsort(values, kind="stable")
-    return values[order], patterns[order]

@@ -1,4 +1,4 @@
-"""Bit-identity of one-layer plans and the wide-quire limb kernel.
+"""Bit-identity of one-layer plans.
 
 ``VectorEngine.dot`` compiles a one-layer fused plan, the same code a whole
 network's forward runs.  Every registered format's plan must reproduce the
@@ -6,8 +6,9 @@ scalar EMACs bit for bit, and ``dot_reference`` — the retained PR 1
 digit-plane nest the engine guard times — must match the scalar EMACs in
 both rounding modes.  Explicit edge cases pin what a random property
 rarely reaches: empty batches, fan-in 1, batch-chunk boundaries, all-zero
-weight planes, maxpos-heavy weights on the limb kernel, fan-in splits, and
-input rejection; plus a network-level check against the golden-pinned iris
+weights, maxpos-heavy weights whose quires leave the round table for the
+encoder, fan-ins wide enough to narrow the digit planes, and input
+rejection; plus a network-level check against the golden-pinned iris
 parent model.
 """
 
@@ -74,11 +75,10 @@ TABLE_FORMATS = [
 ]
 
 
-def layer_plan(fmt, W, B, mode="rne", force_path=None):
-    """One identity layer compiled as a plan (optionally path-forced)."""
+def layer_plan(fmt, W, B, mode="rne"):
+    """One identity layer compiled as a plan."""
     return NetworkKernel(
-        formats.backend_for(fmt), [(W, B, "identity")],
-        rounding_mode=mode, force_path=force_path,
+        formats.backend_for(fmt), [(W, B, "identity")], rounding_mode=mode
     )
 
 
@@ -145,64 +145,70 @@ class TestKernelBitIdentity:
         )
 
     def test_chunk_boundary_crossing(self, any_fmt, rng, monkeypatch):
-        """Results must not depend on the batch-chunk size, on any path."""
+        """Results must not depend on the batch-chunk size."""
         W, X, B = random_layer(any_fmt, rng, 3, 9, 23, True)
-        paths = [None] + (["layer"] if any_fmt in TABLE_FORMATS else [])
-        for path in paths:
-            plan = layer_plan(any_fmt, W, B, force_path=path)
-            full = plan.forward(X)
-            for cap in (1, 30, 100):
-                monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", cap)
-                assert np.array_equal(plan.forward(X), full), (path, cap)
-            monkeypatch.undo()
+        plan = layer_plan(any_fmt, W, B)
+        full = plan.forward(X)
+        for cap in (1, 30, 100):
+            monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", cap)
+            assert np.array_equal(plan.forward(X), full), cap
 
     def test_chunk_cap_monkeypatched(self, rng, monkeypatch):
-        """Plans and the limb kernel read the module chunk cap at call time."""
-        fmt = standard_format(8, 1)
-        W, X, B = random_layer(fmt, rng, 3, 9, 17, True)
-        for path in (None, "layer"):
-            plan = layer_plan(fmt, W, B, force_path=path)
+        """Plans read the module chunk cap at call time, wide ones too."""
+        for fmt in (standard_format(8, 1), standard_format(8, 2)):
+            W, X, B = random_layer(fmt, rng, 3, 9, 17, True)
+            plan = layer_plan(fmt, W, B)
             full = plan.forward(X)
             monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 25)
-            assert np.array_equal(plan.forward(X), full), path
+            assert np.array_equal(plan.forward(X), full), fmt
             monkeypatch.undo()
 
     def test_all_zero_weights(self, any_fmt, scalar_dot):
-        """Every digit plane pruned: output is the rounded bias alone."""
+        """All-zero weights: output is the rounded bias alone."""
         W = np.zeros((3, 6), dtype=np.uint32)
         X = np.zeros((4, 6), dtype=np.uint32)
         B = np.zeros(3, dtype=np.uint32)
         expected = scalar_dot(any_fmt, W, X, B)
-        paths = [None] + (["layer"] if any_fmt in TABLE_FORMATS else [])
-        for path in paths:
-            out = layer_plan(any_fmt, W, B, force_path=path).forward(X)
-            assert np.array_equal(out, expected), path
+        assert np.array_equal(layer_plan(any_fmt, W, B).forward(X), expected)
+
+    @pytest.mark.parametrize("mode", formats.ROUNDING_MODES)
+    def test_all_zero_weights_maxpos_bias(self, scalar_dot, mode):
+        """One plane of each operand, yet the maxpos bias alone makes the
+        quire wide: the single-GEMM step must not take it."""
+        fmt = standard_format(8, 2)
+        W = np.zeros((2, 4), dtype=np.uint32)
+        B = np.asarray([fmt.maxpos_pattern, (1 << fmt.n) - fmt.maxpos_pattern])
+        X = scrub(fmt, np.arange(0, 256, 8, dtype=np.uint32).reshape(8, 4))
+        plan = layer_plan(fmt, W, B.astype(np.uint32), mode)
+        (row,) = plan.explain()
+        assert (row["planes"], row["weight_planes"], row["wide"]) == (1, 1, True)
+        assert np.array_equal(plan.forward(X), scalar_dot(fmt, W, X, B, mode))
 
     def test_single_live_weight_plane(self, rng):
-        """Weights confined to low digit planes leave high planes all-zero."""
+        """Tiny weights: one plane holds the whole product range."""
         fmt = standard_format(8, 1)
         engine = engine_for(fmt)
-        # Tiny-magnitude weights: digits live in the lowest plane only.
         W = engine.quantize(rng.uniform(1e-6, 1e-5, size=(3, 8)))
         X = scrub(fmt, rng.integers(0, 256, size=(5, 8), dtype=np.uint32))
         B = engine.quantize(rng.uniform(-0.1, 0.1, size=3))
-        reference = engine.dot_reference(W, X, B)
-        for path in (None, "layer"):
-            out = layer_plan(fmt, W, B, force_path=path).forward(X)
-            assert np.array_equal(out, reference), path
+        plan = layer_plan(fmt, W, B)
+        assert plan.explain()[0]["planes"] == 1
+        assert np.array_equal(plan.forward(X), engine.dot_reference(W, X, B))
 
     def test_extreme_weights_fall_back_bit_identically(self, rng, scalar_dot):
-        """maxpos-heavy weights leave the single-word fast paths; the limb
-        kernel must stay bit-identical."""
+        """A maxpos weight makes the quire wide; maxpos activations push
+        quires past the round table, to the backend's encoder.  Both stay
+        bit-identical."""
         fmt = standard_format(8, 2)
         hi = 1 << fmt.n
         W = scrub(fmt, rng.integers(0, hi, size=(4, 10), dtype=np.uint32))
         W[0, 0] = fmt.maxpos_pattern
         X = scrub(fmt, rng.integers(0, hi, size=(6, 10), dtype=np.uint32))
+        X[0, 0] = fmt.maxpos_pattern  # a quire of about maxpos**2
         B = scrub(fmt, rng.integers(0, hi, size=(4,), dtype=np.uint32))
         plan = layer_plan(fmt, W, B)
-        # posit8_2's range forces the limb path
-        assert [row["path"] for row in plan.explain()] == ["layer"]
+        (row,) = plan.explain()
+        assert (row["path"], row["wide"]) == ("plane", True)
         out = plan.forward(X)
         assert np.array_equal(out, engine_for(fmt).dot_reference(W, X, B))
         assert np.array_equal(out, scalar_dot(fmt, W, X, B))
@@ -220,20 +226,22 @@ class TestKernelBitIdentity:
         X[0, 0] = fmt.maxpos_pattern
         plan = layer_plan(fmt, W, None, mode)
         (row,) = plan.explain()
-        assert row["eligible"] == ["plane", "layer"]
-        assert (row["path"], row["planes"]) == ("plane", 2)
+        assert (row["path"], row["planes"], row["wide"]) == ("plane", 2, False)
         assert np.array_equal(plan.forward(X), scalar_dot(fmt, W, X, None, mode))
 
     def test_fan_in_split_accumulation(self, rng):
-        """Fan-in past the float64-exactness bound forces multiple GEMM
-        splits with int64 accumulation; still bit-identical."""
+        """A fan-in of 5000 grows ``S = max_o sum_i |w_oi|``, which narrows
+        the exact digit: the activations split into more planes whose words
+        accumulate in int64; still bit-identical."""
         fmt = standard_format(8, 1)
-        in_dim = 5000  # > 2**(53 - 2*LIMB_BITS) / live_weight_planes
+        in_dim = 5000
         W = scrub(fmt, rng.integers(0, 256, size=(2, in_dim), dtype=np.uint32))
         X = scrub(fmt, rng.integers(0, 256, size=(3, in_dim), dtype=np.uint32))
         B = scrub(fmt, rng.integers(0, 256, size=(2,), dtype=np.uint32))
-        plan = layer_plan(fmt, W, B, force_path="layer")
-        assert len(plan.steps[0].kernel._splits) > 1
+        plan = layer_plan(fmt, W, B)
+        narrow = layer_plan(fmt, W[:, :9], B)
+        assert plan.steps[0].words.digit_bits < narrow.steps[0].words.digit_bits
+        assert plan.explain()[0]["planes"] >= 2
         assert np.array_equal(
             plan.forward(X), engine_for(fmt).dot_reference(W, X, B)
         )
@@ -241,7 +249,7 @@ class TestKernelBitIdentity:
         good = np.zeros((1, 2), dtype=np.uint32)
         with pytest.raises(ValueError):
             layer_plan(fmt, bad, None)
-        plan = layer_plan(fmt, good, None, force_path="layer")
+        plan = layer_plan(fmt, good, None)
         with pytest.raises(ValueError):
             plan.forward(bad)
 

@@ -1,18 +1,19 @@
 """Bit-identity of the fused network plans against the scalar oracle.
 
 The fused :class:`~repro.formats.network.NetworkKernel` is the one
-production path for exact dot products.  One differential property suite
-pins it to the scalar EMACs (``forward_scalar`` for rne; the EMAC's exact
-accumulation rounded by ``truncate_scalar`` for rtz, with pattern ReLU
-between layers), bit for bit, over random 1-3-layer topologies, every
-format of ``FORMATS``, both rounding modes, maxpos-heavy weights that overflow
-the int64 quire, multi-plane layers, and every words path forced on.
-Around it: the oracle-built round table against ``encode_from_quire_words``
-over the whole single-word window, its O(1) bucket index against plain
+production path for exact dot products, and it has one words path.  One
+differential property suite pins it to the scalar EMACs (``forward_scalar``
+for rne; the EMAC's exact accumulation rounded by ``truncate_scalar`` for
+rtz, with pattern ReLU between layers), bit for bit, over random 1-3-layer
+topologies, every format of ``FORMATS``, both rounding modes, maxpos-heavy
+weights that push the quire past 62 bits, and multi-plane layers.  Around
+it: the oracle-built round table against ``encode_from_quire_words`` over
+the whole single-word window, its O(1) bucket index against plain
 ``searchsorted``, the pattern-space ReLU composition against ``engine.relu``
-on every valid pattern, the one-plane/two-plane exactness boundary, shape
-edges per forced path, and input rejection.  The default plan's path per
-layer is a fixed rule, the same in every process.
+on every valid pattern, the one-plane/two-plane exactness boundary, pinned
+wide quires on both sides of the round table's window, shape edges, and
+input rejection.  Each layer's planes are a fixed function of it, the same
+in every process, and all 459 layers of the sweep grid take ``plane``.
 """
 
 import multiprocessing
@@ -28,12 +29,7 @@ from repro.core import engine_for
 from repro.core.positron import PositronNetwork
 from repro.fixedpoint import fixed_format
 from repro.floatp import float_format
-from repro.formats.network import (
-    NETWORK_PATHS,
-    NetworkKernel,
-    operand_values,
-    round_table,
-)
+from repro.formats.network import NetworkKernel, operand_values, round_table
 from repro.posit.format import standard_format
 
 #: posit<6,2>'s wide range (34-bit operand values) makes random weights
@@ -84,7 +80,8 @@ def random_network(fmt, rng, topo, batch, rounding_mode="rne", maxpos=False):
     """(layer triples, input patterns, PositronNetwork) on random params.
 
     ``maxpos`` sets about a fifth of the weights to the format's largest
-    value, which pushes wide-range formats past the int64 quire bound.
+    value, which pushes wide-range formats past 62 quire bits and leaves
+    some quires past the round table's window.
     """
     hi = 1 << fmt.n
     largest = formats.backend_for(fmt).quantize_batch(np.asarray([1e30]))[0]
@@ -126,33 +123,31 @@ TABLE2_DEPLOYMENTS = (
     ("wbc", "fixed8_4"), ("iris", "fixed8_4"), ("mushroom", "fixed8_3"),
 )
 
+#: The Table II + Fig. 9 sweep grid: every candidate config of each width.
+GRID_DATASETS = ("wbc", "iris", "mushroom")
+GRID_WIDTHS = (5, 6, 7, 8)
+
 
 def deployment_plans():
-    """``explain()`` of every Table II deployment's served plan."""
-    from repro.serve.registry import build_served_model
+    """``{(dataset, format): explain()}`` of all 153 sweep-grid networks.
 
-    return [
-        build_served_model(dataset, fmt).network.network_kernel().explain()
-        for dataset, fmt in TABLE2_DEPLOYMENTS
-    ]
+    Each is the dataset's parent model deployed at one candidate config,
+    as the sweep and the server build it (the nine Table II deployments
+    are among them).
+    """
+    from repro.analysis.sweep import trained_model
+    from repro.nn.quantize import candidate_configs
 
-
-def forced_plans(backend, layers, rounding_mode):
-    """Every constructible (path, plan) plus the unforced default plan."""
-    plans = [(None, backend.compile_network(layers, rounding_mode=rounding_mode))]
-    for path in NETWORK_PATHS:
-        try:
-            plans.append(
-                (
-                    path,
-                    NetworkKernel(
-                        backend, layers, rounding_mode=rounding_mode,
-                        force_path=path,
-                    ),
+    plans = {}
+    for dataset in GRID_DATASETS:
+        weights, biases = trained_model(dataset).model.export_params()
+        for n in GRID_WIDTHS:
+            for config in candidate_configs(n):
+                net = PositronNetwork.from_float_params(
+                    config.fmt, weights, biases
                 )
-            )
-        except ValueError:
-            continue  # path ineligible for this format/shape
+                name = formats.backend_for(config.fmt).name
+                plans[(dataset, name)] = net.network_kernel().explain()
     return plans
 
 
@@ -213,15 +208,16 @@ class TestRoundTable:
 class TestFusedBitIdentity:
     @pytest.mark.parametrize("fmt", FORMATS, ids=str)
     def test_plans_match_scalar_oracle(self, scalar_forward, fmt):
-        """Every plan == the scalar oracle: each format, mode and path.
+        """The plan == the scalar oracle: each format and mode.
 
-        The default plan and every path ``force_path`` can build run the
-        same random network; outputs and rank-argmax readouts must equal
-        the scalar EMACs'.  The explicit examples pin a two-plane layer of
-        ``MULTI_PLANE_FMT`` in both modes, and the run must draw one."""
+        Outputs and rank-argmax readouts of the plan of a random network
+        must equal the scalar EMACs'.  The explicit examples pin a
+        two-plane layer of ``MULTI_PLANE_FMT`` in both modes, and the run
+        must draw one; the ``posit<8,2>`` maxpos draws must include a layer
+        past 62 quire bits."""
         backend = formats.backend_for(fmt)
         ranks = backend.rank_table()
-        planes = [0]
+        planes, quire_bits = [0], [0]
 
         @settings(max_examples=15, deadline=None)
         @given(
@@ -241,18 +237,23 @@ class TestFusedBitIdentity:
             )
             expected = scalar_forward(net, X)
             expected_pred = np.argmax(ranks[expected.astype(np.int64)], axis=1)
-            for path, plan in forced_plans(backend, layers, mode):
-                planes.extend(row["planes"] or 0 for row in plan.explain())
-                out = plan.forward(X)
-                assert out.shape == (batch, topo[-1]), path
-                assert np.array_equal(out, expected), (path, mode)
-                pred = plan.predict(X)
-                assert pred.shape == (batch,), path
-                assert np.array_equal(pred, expected_pred), (path, mode)
+            plan = backend.compile_network(layers, rounding_mode=mode)
+            for row in plan.explain():
+                assert row["path"] == "plane"
+                planes.append(row["planes"])
+                quire_bits.append(row["quire_bits"])
+            out = plan.forward(X)
+            assert out.shape == (batch, topo[-1])
+            assert np.array_equal(out, expected), mode
+            pred = plan.predict(X)
+            assert pred.shape == (batch,)
+            assert np.array_equal(pred, expected_pred), mode
 
         check()
         if fmt == MULTI_PLANE_FMT:
             assert max(planes) >= 2
+        if fmt == standard_format(8, 2):
+            assert max(quire_bits) > 62
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -260,7 +261,7 @@ class TestFusedBitIdentity:
         seed=st.integers(0, 2**31 - 1),
     )
     def test_fused_equals_forward_scalar(self, fmt_idx, seed):
-        """Fused plan == one scalar EMAC per neuron, per forced path.
+        """Fused plan == one scalar EMAC per neuron.
 
         A fixed (5, 3, 2) topology under ``forward_scalar`` itself, the
         rne oracle; both modes and random topologies ride
@@ -274,8 +275,7 @@ class TestFusedBitIdentity:
             [net.forward_scalar([int(p) for p in row]) for row in X],
             dtype=np.uint32,
         )
-        for path, plan in forced_plans(backend, layers, "rne"):
-            assert np.array_equal(plan.forward(X), expected), path
+        assert np.array_equal(backend.compile_network(layers).forward(X), expected)
 
     def test_relu_table_matches_engine_on_every_valid_pattern(
         self, any_fmt, scalar_dot
@@ -299,41 +299,40 @@ class TestFusedBitIdentity:
         B = np.full(1, zero, dtype=np.uint32)
         X = valid.reshape(-1, 1)
         expected = engine.relu(scalar_dot(any_fmt, W, X, B))
-        for path, plan in forced_plans(backend, [(W, B, "relu")], "rne"):
-            assert np.array_equal(plan.forward(X), expected), path
+        plan = backend.compile_network([(W, B, "relu")])
+        assert np.array_equal(plan.forward(X), expected)
 
     def test_empty_and_single_row_every_path(self, any_fmt, scalar_forward):
-        """(0, in) and (1, in) inputs keep exact shapes on every path."""
+        """(0, in) and (1, in) inputs keep exact shapes."""
         backend = formats.backend_for(any_fmt)
         rng = np.random.default_rng(5)
         layers, _, net = random_network(any_fmt, rng, (4, 3, 2), 0)
         hi = 1 << any_fmt.n
         empty = np.empty((0, 4), dtype=np.uint32)
         single = scrub(any_fmt, rng.integers(0, hi, size=(1, 4), dtype=np.uint32))
-        for path, plan in forced_plans(backend, layers, "rne"):
-            out = plan.forward(empty)
-            assert out.shape == (0, 2) and out.dtype == np.uint32, path
-            assert plan.predict(empty).shape == (0,), path
-            out1 = plan.forward(single)
-            assert out1.shape == (1, 2), path
-            assert np.array_equal(out1, scalar_forward(net, single)), path
-            pred1 = plan.predict(single)
-            assert pred1.shape == (1,), path
+        plan = backend.compile_network(layers)
+        out = plan.forward(empty)
+        assert out.shape == (0, 2) and out.dtype == np.uint32
+        assert plan.predict(empty).shape == (0,)
+        out1 = plan.forward(single)
+        assert out1.shape == (1, 2)
+        assert np.array_equal(out1, scalar_forward(net, single))
+        assert plan.predict(single).shape == (1,)
 
 
 class TestPlanCompile:
-    def test_force_path_rejects_ineligible(self):
-        """Forcing a path a layer cannot take raises, never silently falls back."""
+    def test_single_path_has_no_knob(self):
+        """One words path: a plan takes no path argument, and layers that
+        once needed a second path (a quire past int64) compile onto it."""
         backend = formats.backend_for(standard_format(8, 2))
         layers = [maxpos_layer(backend, 3, 2)]  # quire bound past int64
-        with pytest.raises(ValueError, match="not eligible"):
+        with pytest.raises(TypeError, match="force_path"):
             NetworkKernel(backend, layers, force_path="plane")
-        for path in ("int64", "product", "warp"):
-            with pytest.raises(ValueError, match="force_path"):
-                NetworkKernel(backend, layers, force_path=path)
+        (row,) = NetworkKernel(backend, layers).explain()
+        assert row["path"] == "plane" and row["quire_bits"] > 64
         fixed = formats.get("fixed8_4")
-        with pytest.raises(ValueError, match="only the plane path"):
-            NetworkKernel(fixed, [maxpos_layer(fixed, 3, 2)], force_path="layer")
+        (row,) = NetworkKernel(fixed, [maxpos_layer(fixed, 3, 2)]).explain()
+        assert row["path"] == "plane" and not row["wide"]
 
     def test_validates_network_inputs_once(self, table_fmt):
         """Invalid input patterns are rejected at the network boundary."""
@@ -361,7 +360,7 @@ class TestPlanCompile:
             plan.forward(X[0])
 
     def test_explain_reports_every_layer(self, any_fmt):
-        """explain() rows carry the decision, eligibility and footprint."""
+        """explain() rows carry the planes, quire width and footprint."""
         backend = formats.backend_for(any_fmt)
         rng = np.random.default_rng(6)
         layers, _, _ = random_network(any_fmt, rng, (4, 3, 2), 1)
@@ -370,16 +369,23 @@ class TestPlanCompile:
         assert len(report) == 2
         for i, row in enumerate(report):
             assert row["layer"] == i
-            assert row["path"] in NETWORK_PATHS
-            assert row["path"] in row["eligible"]
+            assert row["path"] == "plane"
             assert row["table_bytes"] >= 0
             assert row["activation"] in ("relu", "identity")
             assert row["quire_bits"] >= 1
-            if row["path"] == "plane":
-                assert row["planes"] >= 1
-                assert row["wants"] == ("value" if row["planes"] == 1 else "pattern")
-            else:
-                assert row["planes"] is None
+            assert row["wide"] == (row["quire_bits"] > 62)
+            assert row["planes"] >= 1 and row["weight_planes"] >= 1
+            assert row["wants"] == ("value" if row["planes"] == 1 else "pattern")
+
+    def test_cli_explain_prints_planes_and_width(self):
+        """``python -m repro formats --explain`` shows activation x weight
+        planes and whether each layer is wide."""
+        from repro.__main__ import _formats_explain
+
+        lines = _formats_explain("iris:posit8_2").splitlines()
+        assert "planes" in lines[1] and "wide" in lines[1]
+        for line in lines[2:5]:
+            assert line.split()[3:6:2] == ["3x1", "yes"]
 
     def test_empty_layer_stack_rejected(self, any_fmt):
         backend = formats.backend_for(any_fmt)
@@ -467,19 +473,120 @@ class TestPlaneBoundary:
         assert np.array_equal(plan.forward(X), scalar_dot(fmt, W, X, B, mode))
 
 
+class TestWideQuires:
+    """Wide layers (quire bound past 62 bits) against ``scalar_dot``.
+
+    A wide layer adds its plane sums modulo ``2**64`` and rounds by table
+    each quire whose magnitude bound is below ``2**61``; the backend's
+    encoder rounds the rest from exact limbs.  posit<8,2>'s quire LSB is
+    ``2**-54``, so the bound ``2**61`` is the value 128, and the round
+    table's window ends at 256.
+    """
+
+    @staticmethod
+    def check(backend, W, X, B, mode, scalar_dot):
+        plan = backend.compile_network([(W, B, "identity")], rounding_mode=mode)
+        (row,) = plan.explain()
+        assert row["path"] == "plane" and row["wide"]
+        expected = scalar_dot(backend.fmt, W, X, B, mode)
+        assert np.array_equal(plan.forward(X), expected)
+        return row
+
+    @staticmethod
+    def values(backend, W, X, B=None):
+        """Each quire's value and its sum of product magnitudes."""
+        x, w = backend.decode_batch(X), backend.decode_batch(W)
+        q, mag = x @ w.T, np.abs(x) @ np.abs(w).T
+        if B is not None:
+            q, mag = q + backend.decode_batch(B), mag + np.abs(backend.decode_batch(B))
+        return q, mag
+
+    @pytest.mark.parametrize("mode", formats.ROUNDING_MODES)
+    def test_both_sides_of_the_table_bound(self, scalar_dot, mode):
+        """Small activations stay under the bound; maxpos rows pass it."""
+        backend = formats.get("posit8_2")
+        fmt = backend.fmt
+        rng = np.random.default_rng(31)
+        W = backend.quantize_batch(rng.uniform(0.5, 2, size=(4, 8)))
+        B = backend.quantize_batch(rng.uniform(-1, 1, size=4))
+        small = backend.quantize_batch(rng.uniform(-1, 1, size=(12, 8)))
+        maxpos = np.uint32(fmt.maxpos_pattern)
+        neg_maxpos = np.uint32((1 << fmt.n) - fmt.maxpos_pattern)
+        big = np.asarray([np.full(8, maxpos), np.full(8, neg_maxpos)])
+        mixed = rng.choice([maxpos, neg_maxpos], size=(6, 8)).astype(np.uint32)
+        X = np.concatenate([small, big, mixed])
+        q, mag = self.values(backend, W, X, B)
+        assert (mag[:12] < 64).all() and (np.abs(q[12:14]) > 256).all()
+        self.check(backend, W, X, B, mode, scalar_dot)
+
+    @pytest.mark.parametrize("mode", formats.ROUNDING_MODES)
+    def test_quire_between_2_62_and_2_63(self, scalar_dot, mode):
+        """Quires that fit int64 but lie past the round table's window."""
+        backend = formats.get("posit8_2")
+        rng = np.random.default_rng(32)
+        W = backend.quantize_batch(np.asarray([[16.0, 16.0, 2.0], [-16.0, -16.0, -2.0]]))
+        X = backend.quantize_batch(rng.uniform(0, 16, size=(400, 3)))
+        q, _ = self.values(backend, W, X)
+        X = X[(np.abs(q[:, 0]) >= 256) & (np.abs(q[:, 0]) < 512)]
+        assert len(X) >= 20
+        self.check(backend, W, X, None, mode, scalar_dot)
+
+    @pytest.mark.parametrize("mode", formats.ROUNDING_MODES)
+    def test_negative_quire_just_past_minus_2_61(self, scalar_dot, mode):
+        """Quires a minpos past -128, and a row just inside the bound."""
+        backend = formats.get("posit8_2")
+        m = backend.decode_batch(np.asarray([backend.fmt.minpos_pattern]))[0]
+        W = backend.quantize_batch(np.ones((1, 3)))
+        rows = [
+            [-128, -m, 0], [-128, m, 0], [-128, -m, -m], [-96, -32, -m],
+            [-128, -0.5, -0.25], [-96, -24, -8], [-96, -24, -7.5],
+        ]
+        X = backend.quantize_batch(np.asarray(rows))
+        q, mag = self.values(backend, W, X)
+        assert (q[:6, 0] < -128 + 2 * m).all() and (mag[:6] >= 128).all()
+        assert mag[6, 0] == 127.5
+        self.check(backend, W, X, None, mode, scalar_dot)
+
+    @pytest.mark.parametrize("mode", formats.ROUNDING_MODES)
+    def test_two_sided_maxpos_weights(self, scalar_dot, mode):
+        """All-maxpos weights leave no exact activation digit: the weights
+        are cut into digit planes too."""
+        backend = formats.get("posit8_2")
+        rng = np.random.default_rng(33)
+        W, _, _ = maxpos_layer(backend, 6, 3)
+        W[1, ::2] = backend.quantize_batch(np.asarray([-1.0]))[0]
+        B = scrub(backend.fmt, rng.integers(0, 256, size=3))
+        X = scrub(backend.fmt, rng.integers(0, 256, size=(16, 6)))
+        X[0] = backend.fmt.maxpos_pattern
+        row = self.check(backend, W, X, B, mode, scalar_dot)
+        assert row["weight_planes"] > 1
+
+    @pytest.mark.parametrize("mode", formats.ROUNDING_MODES)
+    @pytest.mark.parametrize("name", ["float8_3", "posit12_2"])
+    def test_quire_of_three_words_or_more(self, scalar_dot, name, mode):
+        """A quire wider than two int64 words, across the whole range."""
+        backend = formats.get(name)
+        rng = np.random.default_rng(34)
+        hi = 1 << backend.width
+        W = scrub(backend.fmt, rng.integers(0, hi, size=(3, 5)))
+        B = scrub(backend.fmt, rng.integers(0, hi, size=3))
+        X = scrub(backend.fmt, rng.integers(0, hi, size=(12, 5)))
+        row = self.check(backend, W, X, B, mode, scalar_dot)
+        assert row["quire_bits"] > 2 * 62
+
+
 class TestFixedRule:
-    """Without ``force_path``, each layer's path is a fixed function of it:
-    ``plane`` for every single-word layer, ``layer`` past 62 bits."""
+    """Each layer's planes are a fixed function of it: every layer takes
+    ``plane``; a quire past 62 bits makes the layer wide."""
 
     def test_wide_fan_in_takes_plane(self):
         backend = formats.get("posit8_1")
         layer = narrow_layer(backend, np.random.default_rng(21), 117, 24)
         (row,) = backend.compile_network([layer]).explain()
-        assert row["eligible"] == ["plane", "layer"]
-        assert (row["path"], row["planes"]) == ("plane", 1)
+        assert (row["path"], row["planes"], row["wide"]) == ("plane", 1, False)
 
     # posit<8,2> is left out: its maxpos activations overflow the
-    # single-word quire at any fan-in, so it always takes ``layer``.
+    # single-word quire at any fan-in, so its layers are always wide.
     @pytest.mark.parametrize("fan_in", [1, 4, 30])
     @pytest.mark.parametrize(
         "name", ["posit6_0", "posit8_0", "posit8_1", "float4_3", "float3_4",
@@ -489,33 +596,53 @@ class TestFixedRule:
         backend = formats.get(name)
         layer = narrow_layer(backend, np.random.default_rng(fan_in), fan_in, 8)
         (row,) = backend.compile_network([layer]).explain()
-        assert row["eligible"] == ["plane", "layer"]
-        assert (row["path"], row["planes"]) == ("plane", 1)
+        assert (row["path"], row["planes"], row["wide"]) == ("plane", 1, False)
 
-    def test_maxpos_heavy_posit8_2_takes_layer(self):
+    def test_maxpos_heavy_posit8_2_takes_wide_plane(self):
+        """Maxpos weights leave no exact activation digit, so the weights
+        are cut into digit planes too: a 1.0 among them takes a second."""
         backend = formats.get("posit8_2")
-        (row,) = backend.compile_network([maxpos_layer(backend, 4, 3)]).explain()
-        assert row["quire_bits"] > 62
-        assert row["eligible"] == ["layer"]
-        assert (row["path"], row["planes"]) == ("layer", None)
+        W, _, _ = maxpos_layer(backend, 4, 3)
+        W[0, 0] = backend.quantize_batch(np.asarray([1.0]))[0]
+        (row,) = backend.compile_network([(W, None, "relu")]).explain()
+        assert row["path"] == "plane"
+        assert row["quire_bits"] > 62 and row["wide"]
+        assert row["weight_planes"] > 1
+
+    def test_grid_layers_take_plane(self):
+        """All 459 layers of the 153 sweep-grid networks take ``plane``;
+        exactly the 18 posit<7,2> and posit<8,2> layers are wide."""
+        plans = deployment_plans()
+        assert len(plans) == 153
+        rows = [
+            (key, row) for key, report in plans.items() for row in report
+        ]
+        assert len(rows) == 459
+        assert {row["path"] for _, row in rows} == {"plane"}
+        wide = [(key, row) for key, row in rows if row["wide"]]
+        assert len(wide) == 18
+        assert {name for (_, name), _ in wide} == {"posit7_2", "posit8_2"}
+        assert all(row["quire_bits"] > 62 for _, row in wide)
+        assert all(
+            row["quire_bits"] <= 62 for _, row in rows if not row["wide"]
+        )
 
     def test_table2_deployments_take_one_plane(self):
         """Every layer of the nine served deployments is one GEMM."""
         plans = deployment_plans()
-        assert len(plans) == len(TABLE2_DEPLOYMENTS)
-        for (dataset, fmt), report in zip(TABLE2_DEPLOYMENTS, plans):
-            for row in report:
-                assert (row["path"], row["planes"]) == ("plane", 1), (
-                    dataset, fmt, row["layer"],
-                )
+        for dataset, fmt in TABLE2_DEPLOYMENTS:
+            for row in plans[(dataset, fmt)]:
+                assert (row["path"], row["planes"], row["weight_planes"]) == (
+                    "plane", 1, 1,
+                ), (dataset, fmt, row["layer"])
 
     def test_explain_identical_across_processes(self, tmp_path, monkeypatch):
-        """Two fresh interpreters build the same nine Table II plans."""
+        """Two fresh interpreters build the same 153 grid plans."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         spawn = multiprocessing.get_context("spawn")
         reports = []
         for _ in range(2):
             with ProcessPoolExecutor(1, mp_context=spawn) as pool:
                 reports.append(pool.submit(deployment_plans).result(300))
-        assert len(reports[0]) == len(TABLE2_DEPLOYMENTS)
+        assert len(reports[0]) == 153
         assert reports[0] == reports[1]

@@ -15,6 +15,7 @@ import pytest
 from repro import formats
 from repro.core import engine_for, scalar_emac_for
 from repro.core.positron import PositronNetwork
+from repro.core.vector import digit_planes
 from repro.fixedpoint import fixed_format
 from repro.floatp import float_format
 from repro.floatp.format import FloatFormat
@@ -65,7 +66,7 @@ class TestLookup:
     def test_limb_tables_memoized(self):
         backend = formats.get("posit8_1")
         assert backend.limb_tables() is backend.limb_tables()
-        assert formats.digit_planes(backend) is formats.digit_planes(backend)
+        assert digit_planes(backend) is digit_planes(backend)
 
     def test_families_registered(self):
         assert [f.name for f in formats.families()] == ["posit", "float", "fixed"]

@@ -20,7 +20,6 @@ from repro.formats import kernels
 
 
 def _layer_case(backend, rng, out_dim=7, in_dim=11, batch=64):
-    width = backend.width
     tables = backend.limb_tables()
     valid = np.flatnonzero(~tables.invalid).astype(np.uint32)
     weights = rng.choice(valid, size=(out_dim, in_dim))
@@ -29,12 +28,23 @@ def _layer_case(backend, rng, out_dim=7, in_dim=11, batch=64):
     return weights, bias, acts
 
 
+def _wide_case(rng):
+    """A posit<8,2> plan past 62 quire bits, with maxpos activation rows
+    whose quires leave the round table for the encoder."""
+    backend = formats.get("posit8_2")
+    weights, bias, acts = _layer_case(backend, rng)
+    acts[::4] = backend.fmt.maxpos_pattern
+    plan = backend.compile_network([(weights, bias, "identity")])
+    assert plan.explain()[0]["wide"]
+    return plan, acts
+
+
 @pytest.mark.parametrize("names", [("posit8_1", "posit8_1"), ("posit8_1", "float4_3")])
 def test_interleaved_kernel_runs_are_bit_identical(names, rng, monkeypatch):
     """Two threads hammering (one shared or two) plans match serial runs.
 
-    Each format gets one plan per words path it runs here (the default
-    ``int64`` and the forced ``layer`` limb kernel); equal names share
+    Each name gets its format's default plan and a default wide plan, whose
+    kept plane sums and bound come from the pool too; equal names share
     every plan object between the threads."""
     # Tiny chunk cap: many chunks per call widens the window in which a
     # shared pool would hand both threads the same buffer.
@@ -43,12 +53,11 @@ def test_interleaved_kernel_runs_are_bit_identical(names, rng, monkeypatch):
     for name in dict.fromkeys(names):
         backend = formats.get(name)
         weights, bias, acts = _layer_case(backend, rng)
-        layers = [(weights, bias, "identity")]
-        plans = [
-            backend.compile_network(layers),
-            formats.NetworkKernel(backend, layers, force_path="layer"),
+        runs = [
+            (backend.compile_network([(weights, bias, "identity")]), acts),
+            _wide_case(rng),
         ]
-        cases[name] = [(plan, acts, plan.forward(acts).copy()) for plan in plans]
+        cases[name] = [(plan, x, plan.forward(x).copy()) for plan, x in runs]
 
     barrier = threading.Barrier(len(names))
     failures: list[str] = []

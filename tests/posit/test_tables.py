@@ -7,7 +7,6 @@ from repro.posit import (
     Posit,
     decode,
     dequantize_array,
-    nearest_pattern_table,
     quantize_array,
     tables_for,
 )
@@ -92,13 +91,3 @@ class TestQuantizeArrays:
         back = dequantize_array(P8, patterns)
         again = quantize_array(P8, back)
         assert np.array_equal(patterns, again)
-
-
-class TestNearestPatternTable:
-    def test_sorted_and_complete(self, posit_fmt):
-        values, patterns = nearest_pattern_table(posit_fmt)
-        assert len(values) == posit_fmt.num_patterns - 1  # all but NaR
-        assert np.all(np.diff(values) > 0)  # strictly increasing, no dupes
-        t = tables_for(posit_fmt)
-        for v, p in zip(values, patterns):
-            assert t.float_value[p] == v
