@@ -8,8 +8,12 @@ are built for, with responses **bit-identical** to calling
 
     python -m repro serve --port 8707 --max-batch 32 --max-delay-ms 2
 
-See ``docs/serving.md`` for the API, the batching knobs, and the
-bit-exactness argument.
+:mod:`~repro.serve.batcher` coalesces each model's requests (one
+:class:`MicroBatcher` per model), :mod:`~repro.serve.server` answers HTTP
+through the one keep-alive loop, route table and exception table of
+:mod:`~repro.serve.http`, and :mod:`~repro.serve.pool` runs N servers as
+worker processes behind one control plane.  See ``docs/serving.md`` for
+the API, the batching knobs, and the bit-exactness argument.
 """
 
 from .ab import ABExperiment
@@ -22,14 +26,12 @@ from .batcher import (
 from .client import ServeClient, ServeError
 from .pool import PoolHandle, WorkerPool, run_pool_forever, start_pool_in_thread
 from .registry import ModelRegistry, ServedModel, build_served_model
-from .scheduler import SchedulerPolicy
 from .server import InferenceServer, ServerHandle, serve_forever, start_in_thread
 from .stats import ServeStats, merge_states, percentile
 
 __all__ = [
     "ABExperiment",
     "MicroBatcher",
-    "SchedulerPolicy",
     "ServiceClosed",
     "QueueSaturated",
     "DeadlineExceeded",

@@ -1,12 +1,15 @@
 """Shared stdlib-only HTTP/1.1 plumbing for the serving tier.
 
-One hand-rolled HTTP surface serves three callers: the public
-:class:`~repro.serve.server.InferenceServer` handler, the pool manager's
-control server (:mod:`repro.serve.pool`), and the in-process async client
-(:func:`fetch`) those two use to talk to each other — worker → manager
+One hand-rolled HTTP surface serves every listener and hop: the
+:class:`~repro.serve.server.InferenceServer`'s public and loopback admin
+listeners, the pool manager's control and router listeners
+(:mod:`repro.serve.pool`), and the in-process async client
+(:func:`fetch`) those use to talk to each other — worker → manager
 forwarding, manager → worker control fan-out, and router → worker
-proxying.  Keeping the parser/renderer here means every hop speaks
-byte-identical HTTP and a framing fix lands everywhere at once.
+proxying.  All four listeners run :func:`serve_connection`, answer
+errors from :func:`error_response`, and check methods against
+:data:`ROUTES`, so every hop speaks byte-identical HTTP and a framing or
+status fix lands everywhere at once.
 """
 
 from __future__ import annotations
@@ -14,13 +17,20 @@ from __future__ import annotations
 import asyncio
 import json
 
+from .batcher import DeadlineExceeded, QueueSaturated, ServiceClosed
+
 __all__ = [
     "HttpError",
     "STATUS_TEXT",
     "MAX_BODY_BYTES",
+    "METRICS_CONTENT_TYPE",
+    "ROUTES",
+    "CONTROL_PATHS",
+    "route",
+    "error_response",
     "read_request",
     "write_response",
-    "split_query",
+    "serve_connection",
     "fetch",
 ]
 
@@ -35,6 +45,33 @@ STATUS_TEXT = {
     503: "Service Unavailable", 504: "Gateway Timeout",
 }
 
+#: ``/metrics`` answers in the Prometheus text exposition format.
+METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: The Retry-After hint (seconds) sent with load-shed 503s.  Shedding
+#: clears as soon as the queue drains below the threshold, which at
+#: micro-batch latencies is well under a second.
+RETRY_AFTER_S = 1
+
+#: Every serving route -> the methods it allows (a 405 names them).
+ROUTES = {
+    "/health": ("GET",),
+    "/models": ("GET",),
+    "/stats": ("GET",),
+    "/metrics": ("GET",),
+    "/warmup": ("POST",),
+    "/predict": ("POST",),
+    "/swap": ("POST",),
+    "/rollback": ("POST",),
+    "/ab": ("GET", "POST"),
+}
+
+#: Control endpoints a pooled worker must not answer alone: one of these
+#: on the *public* (shared) port reaches one arbitrary worker, so the
+#: worker forwards it to the pool manager, which fans out / merges
+#: across every worker (see :mod:`repro.serve.pool`).
+CONTROL_PATHS = frozenset({"/swap", "/ab", "/rollback", "/stats", "/metrics"})
+
 
 class HttpError(Exception):
     """A handled request failure, rendered as a JSON error response."""
@@ -47,20 +84,52 @@ class HttpError(Exception):
         self.headers = headers or {}
 
 
-def split_query(path: str) -> tuple[str, dict[str, str]]:
-    """``/swap?local=1&x=y`` -> ``("/swap", {"local": "1", "x": "y"})``.
+def route(method: str, target: str, paths=ROUTES,
+          name: str = "route") -> str:
+    """``target``'s path without its query, if ``method`` may call it.
 
-    The serving API only ever uses flat ``k=v`` pairs, so this stays a
-    two-line split instead of pulling in ``urllib.parse`` on the hot path.
+    A path outside ``paths`` is a 404 (``no <name> for <path>``); a method
+    its :data:`ROUTES` entry does not list is a 405 naming the methods
+    that are.  The serving API never reads a query string.
     """
-    path, _, raw = path.partition("?")
-    query: dict[str, str] = {}
-    if raw:
-        for pair in raw.split("&"):
-            if pair:
-                key, _, value = pair.partition("=")
-                query[key] = value
-    return path, query
+    path = target.partition("?")[0]
+    if path not in paths:
+        raise HttpError(404, f"no {name} for {path}")
+    methods = ROUTES[path]
+    if method not in methods:
+        raise HttpError(405, f"use {' or '.join(methods)}")
+    return path
+
+
+def error_response(exc: Exception) -> tuple[int, dict, dict[str, str]]:
+    """``(status, body, headers)`` for a request that raised ``exc``.
+
+    The one exception table every listener answers from:
+
+    ======================  ========================================
+    :class:`HttpError`      its own status (and headers)
+    ``QueueSaturated``      503 + ``Retry-After``: load shedding
+                            refuses fast instead of stacking latency
+                            onto a saturated queue
+    ``DeadlineExceeded``    504: the request's own deadline expired
+                            while it queued; its rows never ran
+    ``ServiceClosed``       503: shutting down
+    anything else           500: a server fault
+    ======================  ========================================
+    """
+    if isinstance(exc, HttpError):
+        return exc.status, {"error": exc.message}, exc.headers
+    if isinstance(exc, QueueSaturated):
+        return (
+            503,
+            {"error": str(exc), "retry_after_s": RETRY_AFTER_S},
+            {"Retry-After": str(RETRY_AFTER_S)},
+        )
+    if isinstance(exc, DeadlineExceeded):
+        return 504, {"error": str(exc)}, {}
+    if isinstance(exc, ServiceClosed):
+        return 503, {"error": str(exc)}, {}
+    return 500, {"error": f"{type(exc).__name__}: {exc}"}, {}
 
 
 async def read_request(reader):
@@ -126,6 +195,64 @@ async def write_response(
     ).encode("latin-1")
     writer.write(head + body)
     await writer.drain()
+
+
+async def serve_connection(
+    reader, writer, dispatch, *,
+    read=None, write=None, on_request=None, on_fault=None,
+) -> None:
+    """The keep-alive loop every listener runs on each connection.
+
+    ``dispatch(method, target, body)`` returns ``(status, payload)`` or
+    ``(status, payload, content_type)``; whatever it raises is answered
+    from :func:`error_response`, so a failed request never tears the
+    connection down.  ``read`` / ``write`` replace :func:`read_request` /
+    :func:`write_response` (the server passes its class attributes, which
+    a profiler may wrap).  ``on_request(target)`` runs before each
+    dispatch, outside the error table, and returns whether to close the
+    connection after answering; ``on_fault(exc)`` sees every exception
+    answered 500.
+    """
+    read = read or read_request
+    write = write or write_response
+    try:
+        while True:
+            try:
+                request = await read(reader)
+            except HttpError as exc:
+                await write(writer, exc.status, {"error": exc.message}, True)
+                break
+            if request is None:
+                break
+            method, target, headers, body = request
+            close_conn = headers.get("connection", "").lower() == "close"
+            if on_request is not None and on_request(target):
+                close_conn = True
+            content_type = "application/json"
+            extra_headers: dict[str, str] = {}
+            try:
+                result = await dispatch(method, target, body)
+                status, payload = result[0], result[1]
+                if len(result) > 2:  # /metrics and proxied bodies
+                    content_type = result[2]
+            except Exception as exc:
+                status, payload, extra_headers = error_response(exc)
+                if status == 500 and on_fault is not None:
+                    on_fault(exc)
+            await write(writer, status, payload, close_conn, content_type,
+                        extra_headers)
+            if close_conn:
+                break
+    except (asyncio.IncompleteReadError, ConnectionError):
+        # Abrupt client disconnects (reset mid-read, EPIPE mid-write)
+        # are normal churn, not server errors.
+        pass
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
 
 
 async def fetch(

@@ -30,16 +30,18 @@ batchers, and executor threads.  Two distribution modes:
 
 **The control plane.**  The pool binds a loopback *manager* port before
 spawning; workers forward control requests (``/swap``, ``/ab``,
-``/rollback``, ``/stats``, ``/metrics``) that land on the shared public
-port up to it, and the manager fans out to every worker's private admin
-listener — so a swap observed by any worker becomes a swap applied to
-*all* registries, and ``/stats``/``/metrics`` report pooled totals with
-true percentiles over the concatenated latency windows (never averaged
-quantiles).  A worker that misses a fan-out (it was restarting) keeps an
-older generation *number* but serves bit-identical answers — both
-generations were rebuilt from the same store artifact — so divergence is
-impossible; the supervisor's next restart re-hydrates lazily from the
-store anyway.
+``/rollback``, ``/stats``, ``/metrics``: ``http.CONTROL_PATHS``) that
+land on the shared public port up to it, and the manager fans out to
+every worker's private admin listener — so a swap observed by any worker
+becomes a swap applied to *all* registries, and ``/stats``/``/metrics``
+report pooled totals with true percentiles over the concatenated latency
+windows (never averaged quantiles).  A worker that misses a fan-out (it
+was restarting) keeps an older generation *number* but serves
+bit-identical answers — both generations were rebuilt from the same store
+artifact — so divergence is impossible; the supervisor's next restart
+re-hydrates lazily from the store anyway.  The manager and router
+listeners run the same keep-alive loop, method checks and error statuses
+as every worker (:func:`~repro.serve.http.serve_connection`).
 
 **Self-healing.**  A supervisor task restarts dead workers with the same
 jittered exponential backoff the analysis runner uses for crashed pool
@@ -49,7 +51,7 @@ drains and replaces workers one at a time so the pool never serves a
 request with zero live listeners.
 
 Fault points: ``pool.worker`` (worker lifecycle + every batch — see
-:mod:`repro.serve.scheduler`) and ``pool.route`` (fired per fan-out /
+:mod:`repro.serve.batcher`) and ``pool.route`` (fired per fan-out /
 routing target in the pool process; ``raise``/``drop`` here simulate a
 torn control channel, which the broadcast's bounded retries must absorb).
 """
@@ -57,6 +59,7 @@ torn control channel, which the broadcast's bounded retries must absorb).
 from __future__ import annotations
 
 import asyncio
+import functools
 import importlib
 import json
 import multiprocessing
@@ -65,23 +68,23 @@ import random
 import signal
 import socket
 import sys
-import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import faults
 from ..analysis.runner import _backoff_delay
+from .batcher import POINT_WORKER, check_knobs
 from .http import (
+    CONTROL_PATHS,
+    METRICS_CONTENT_TYPE,
     HttpError,
     fetch,
-    read_request,
-    split_query,
-    write_response,
+    route,
+    serve_connection,
 )
 from .registry import ModelRegistry
-from .scheduler import POINT_WORKER
-from .server import InferenceServer, check_knobs
+from .server import InferenceServer, ServerHandle, _start_on_thread
 from .stats import merge_states
 
 __all__ = [
@@ -103,9 +106,9 @@ POINT_ROUTE = faults.register_point(
     "process"
 )
 
-#: Control paths the pool answers itself (fan-out or merge) instead of
-#: routing to a single worker.
-_CONTROL_PATHS = {"/swap", "/ab", "/rollback", "/stats", "/metrics"}
+#: The paths the manager answers itself: the control paths (fan-out or
+#: merge) and the pool-wide ``/health``.
+_MANAGER_PATHS = CONTROL_PATHS | {"/health"}
 
 #: Per-worker attempts for one control fan-out before that worker is
 #: reported failed (it still converges later: restarts rehydrate from
@@ -294,7 +297,10 @@ class WorkerPool:
         """Bind the control plane (and public port), spawn every worker,
         and wait until all report ready."""
         self._manager_server = await asyncio.start_server(
-            self._handle_control, "127.0.0.1", 0
+            functools.partial(
+                serve_connection, dispatch=self._control_dispatch
+            ),
+            "127.0.0.1", 0,
         )
         self.manager_port = (
             self._manager_server.sockets[0].getsockname()[1]
@@ -314,7 +320,10 @@ class WorkerPool:
             self.port = self._placeholder.getsockname()[1]
         else:
             self._router_server = await asyncio.start_server(
-                self._handle_router, self.host, self.port
+                functools.partial(
+                    serve_connection, dispatch=self._router_dispatch
+                ),
+                self.host, self.port,
             )
             self.port = self._router_server.sockets[0].getsockname()[1]
         self._workers = [_Worker(index=i) for i in range(self.workers)]
@@ -473,17 +482,11 @@ class WorkerPool:
                              timeout_s: float = 30.0) -> None:
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline:
-            try:
-                status, body = await fetch(
-                    "127.0.0.1", worker.admin_port, "GET", "/health",
-                    timeout_s=5.0,
-                )
-                if status == 200:
-                    health = json.loads(body)
-                    if health.get("status") in ("ok", "degraded"):
-                        return
-            except (OSError, asyncio.TimeoutError, ValueError):
-                pass
+            health = await self._worker_health(worker)
+            if health is not None and health.get("status") in (
+                "ok", "degraded",
+            ):
+                return
             await asyncio.sleep(0.1)
         raise TimeoutError(
             f"worker {worker.index} did not turn healthy within {timeout_s}s"
@@ -517,52 +520,6 @@ class WorkerPool:
                     )
 
     # -- the control plane ----------------------------------------------
-    async def _handle_control(self, reader, writer) -> None:
-        await self._serve_http(reader, writer, self._control_dispatch)
-
-    async def _handle_router(self, reader, writer) -> None:
-        await self._serve_http(reader, writer, self._router_dispatch)
-
-    async def _serve_http(self, reader, writer, dispatch) -> None:
-        """Minimal keep-alive HTTP loop shared by manager and router."""
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except HttpError as exc:
-                    await write_response(
-                        writer, exc.status, {"error": exc.message}, True
-                    )
-                    break
-                if request is None:
-                    break
-                method, path, headers, body = request
-                close_conn = headers.get("connection", "").lower() == "close"
-                content_type = "application/json"
-                try:
-                    result = await dispatch(method, path, body)
-                    status, payload = result[0], result[1]
-                    if len(result) > 2:
-                        content_type = result[2]
-                except HttpError as exc:
-                    status, payload = exc.status, {"error": exc.message}
-                except Exception as exc:
-                    status = 500
-                    payload = {"error": f"{type(exc).__name__}: {exc}"}
-                await write_response(
-                    writer, status, payload, close_conn, content_type
-                )
-                if close_conn:
-                    break
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
     def _live_workers(self) -> list[_Worker]:
         return [
             w for w in self._workers
@@ -619,31 +576,17 @@ class WorkerPool:
                 failed.append(worker.index)
         return results, failed
 
-    async def _control_dispatch(self, method: str, path: str, body: bytes):
-        path, _query = split_query(path)
-        if path in ("/swap", "/rollback"):
-            if method != "POST":
-                raise HttpError(405, "use POST")
-            return await self._fanout_json(method, path, body)
-        if path == "/ab":
-            if method == "POST":
-                return await self._fanout_json(method, path, body)
-            if method != "GET":
-                raise HttpError(405, "use GET or POST")
+    async def _control_dispatch(self, method: str, target: str, body: bytes):
+        path = route(method, target, _MANAGER_PATHS, "pool route")
+        if path == "/ab" and method == "GET":
             return await self._first_worker_response(method, path, body)
+        if path in ("/swap", "/rollback", "/ab"):
+            return await self._fanout_json(method, path, body)
         if path == "/stats":
-            if method != "GET":
-                raise HttpError(405, "use GET")
             return 200, await self._aggregate_stats()
         if path == "/metrics":
-            if method != "GET":
-                raise HttpError(405, "use GET")
             return await self._aggregate_metrics()
-        if path == "/health":
-            if method != "GET":
-                raise HttpError(405, "use GET")
-            return 200, await self._aggregate_health()
-        raise HttpError(404, f"no pool route for {path}")
+        return 200, await self._aggregate_health()
 
     async def _fanout_json(self, method: str, path: str, body: bytes):
         """Broadcast a mutating control op; merge the worker responses.
@@ -691,17 +634,11 @@ class WorkerPool:
         raise HttpError(502, "no live workers reachable")
 
     async def _collect_worker_states(self) -> list[dict]:
-        states = []
-        for worker in self._live_workers():
-            try:
-                status, data = await self._call_worker(
-                    worker, "GET", "/stats", b"", mode="broadcast"
-                )
-            except ConnectionError:
-                continue
-            if status == 200:
-                states.append(json.loads(data))
-        return states
+        results, _unreachable = await self._broadcast("GET", "/stats", b"")
+        return [
+            json.loads(data) for _idx, status, data in results
+            if status == 200
+        ]
 
     async def _aggregate_stats(self) -> dict:
         """Pooled ``/stats``: merged counters + per-worker summary."""
@@ -740,11 +677,7 @@ class WorkerPool:
         text = merged.render_prometheus(
             queue_depths=queue_depths, effective_delay_ms=delays
         )
-        return (
-            200,
-            text.encode("utf-8"),
-            "text/plain; version=0.0.4; charset=utf-8",
-        )
+        return 200, text.encode("utf-8"), METRICS_CONTENT_TYPE
 
     async def _aggregate_health(self) -> dict:
         """Pool health: every worker's view plus supervision state."""
@@ -760,13 +693,8 @@ class WorkerPool:
                 workers.append(entry)
                 worst = max(worst, "restarting", key=lambda s: rank.get(s, 1))
                 continue
-            try:
-                status, data = await fetch(
-                    "127.0.0.1", worker.admin_port, "GET", "/health",
-                    timeout_s=5.0,
-                )
-                health = json.loads(data)
-            except (OSError, asyncio.TimeoutError, ValueError):
+            health = await self._worker_health(worker)
+            if health is None:
                 workers.append(
                     {"worker": worker.index, "status": "unreachable"}
                 )
@@ -781,6 +709,19 @@ class WorkerPool:
             "pool": self._pool_info(),
         }
 
+    @staticmethod
+    async def _worker_health(worker: _Worker) -> dict | None:
+        """A worker's own ``/health`` body (admin listener), or ``None``
+        when it cannot be reached or answers no JSON."""
+        try:
+            _status, data = await fetch(
+                "127.0.0.1", worker.admin_port, "GET", "/health",
+                timeout_s=5.0,
+            )
+            return json.loads(data)
+        except (OSError, asyncio.TimeoutError, ValueError):
+            return None
+
     def _pool_info(self) -> dict:
         return {
             "mode": self.mode,
@@ -791,32 +732,30 @@ class WorkerPool:
         }
 
     # -- router mode ----------------------------------------------------
-    async def _router_dispatch(self, method: str, path: str, body: bytes):
-        bare, _query = split_query(path)
-        if bare in _CONTROL_PATHS:
-            return await self._control_dispatch(method, path, body)
-        if bare == "/health":
-            if method != "GET":
-                raise HttpError(405, "use GET")
-            return 200, await self._aggregate_health()
+    async def _router_dispatch(self, method: str, target: str, body: bytes):
+        path = target.partition("?")[0]
+        if path in _MANAGER_PATHS:
+            return await self._control_dispatch(method, target, body)
         live = self._live_workers()
         if not live:
             raise HttpError(503, "no live workers")
         # Route by (dataset, format) so each model's batcher stays hot in
-        # exactly one worker; requests without a key (e.g. /models) pin
-        # to the first worker.  Bits are worker-agnostic, so a dead
-        # target fails over to the next live index harmlessly.
+        # exactly one worker; requests without a key (e.g. /models, or a
+        # body that is not a JSON object) pin to the first worker, which
+        # answers any 400 with the real message.  Bits are worker-agnostic,
+        # so a dead target fails over to the next live index harmlessly.
         start = 0
-        if bare in ("/predict", "/warmup") and body:
+        if path in ("/predict", "/warmup") and body:
             try:
                 payload = json.loads(body)
-                dataset = payload.get("dataset", "")
-                format_name = payload.get("format") or ""
-                start = route_index(
-                    str(dataset), str(format_name), len(self._workers)
-                )
             except (ValueError, UnicodeDecodeError):
-                pass  # the worker will answer 400 with the real message
+                payload = None
+            if isinstance(payload, dict):
+                start = route_index(
+                    str(payload.get("dataset", "")),
+                    str(payload.get("format") or ""),
+                    len(self._workers),
+                )
         indices = {w.index: w for w in live}
         order = [
             (start + offset) % len(self._workers)
@@ -829,10 +768,10 @@ class WorkerPool:
                 continue
             try:
                 faults.fire(
-                    POINT_ROUTE, path=bare, worker=index, mode="route",
+                    POINT_ROUTE, path=path, worker=index, mode="route",
                 )
                 status, data = await fetch(
-                    "127.0.0.1", worker.serve_port, method, path, body,
+                    "127.0.0.1", worker.serve_port, method, target, body,
                     timeout_s=120.0,
                 )
                 return status, data, "application/json"
@@ -848,18 +787,12 @@ class WorkerPool:
 # ----------------------------------------------------------------------
 # Embedding and CLI entry points
 # ----------------------------------------------------------------------
-class PoolHandle:
+class PoolHandle(ServerHandle):
     """A pool running on a background thread, with a blocking ``stop``."""
 
-    def __init__(self, pool: WorkerPool, loop, thread, stop_event):
-        self.pool = pool
-        self._loop = loop
-        self._thread = thread
-        self._stop_event = stop_event
-
     @property
-    def address(self) -> tuple[str, int]:
-        return (self.pool.host, self.pool.port)
+    def pool(self) -> WorkerPool:
+        return self.server
 
     def rolling_restart(self, timeout: float = 300.0) -> list[dict]:
         """Run a rolling restart from the calling thread (blocking)."""
@@ -869,57 +802,16 @@ class PoolHandle:
         return future.result(timeout)
 
     def stop(self, timeout: float = 120.0) -> None:
-        self._loop.call_soon_threadsafe(self._stop_event.set)
-        self._thread.join(timeout)
-
-    def __enter__(self) -> "PoolHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        super().stop(timeout)
 
 
 def start_pool_in_thread(**pool_kwargs) -> PoolHandle:
     """Start a :class:`WorkerPool` on a daemon thread; wait until every
     worker is accepting (mirrors ``start_in_thread`` for one server)."""
-    ready = threading.Event()
-    holder: dict = {}
-
-    async def main() -> None:
-        pool = WorkerPool(**pool_kwargs)
-        try:
-            await pool.start()
-        except Exception as exc:
-            holder["error"] = exc
-            ready.set()
-            await pool.stop()
-            return
-        stop_event = asyncio.Event()
-        holder["pool"] = pool
-        holder["loop"] = asyncio.get_running_loop()
-        holder["stop_event"] = stop_event
-        ready.set()
-        try:
-            await stop_event.wait()
-        finally:
-            await pool.stop()
-
-    def run() -> None:
-        try:
-            asyncio.run(main())
-        except Exception as exc:  # pragma: no cover - defensive
-            holder.setdefault("error", exc)
-            ready.set()
-
-    thread = threading.Thread(target=run, name="repro-serve-pool",
-                              daemon=True)
-    thread.start()
-    ready.wait()
-    if "error" in holder:
-        raise holder["error"]
-    return PoolHandle(
-        holder["pool"], holder["loop"], thread, holder["stop_event"]
-    )
+    return PoolHandle(*_start_on_thread(
+        lambda: WorkerPool(**pool_kwargs), WorkerPool.stop,
+        "repro-serve-pool",
+    ))
 
 
 async def run_pool_forever(**pool_kwargs) -> None:

@@ -39,6 +39,7 @@ tests, and the throughput benchmark.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import math
 import sys
@@ -50,18 +51,15 @@ import numpy as np
 
 from .. import faults
 from .ab import ABExperiment
-from .batcher import (
-    DeadlineExceeded,
-    MicroBatcher,
-    QueueSaturated,
-    ServiceClosed,
-)
+from .batcher import MicroBatcher, ServiceClosed, check_knobs
 from .http import (
-    MAX_BODY_BYTES as _MAX_BODY_BYTES,
-    HttpError as _HttpError,
+    CONTROL_PATHS,
+    METRICS_CONTENT_TYPE,
+    HttpError,
     fetch,
     read_request,
-    split_query,
+    route,
+    serve_connection,
     write_response,
 )
 from .registry import ModelRegistry, ServedModel
@@ -70,7 +68,6 @@ from .stats import ServeStats
 __all__ = [
     "InferenceServer",
     "ServerHandle",
-    "check_knobs",
     "start_in_thread",
     "serve_forever",
 ]
@@ -81,60 +78,11 @@ POINT_CONNECTION = faults.register_point(
     "serve.connection", "one accepted HTTP request, pre-dispatch"
 )
 
-#: The Retry-After hint (seconds) sent with load-shed 503s.  Shedding
-#: clears as soon as the queue drains below the threshold, which at
-#: micro-batch latencies is well under a second.
-_RETRY_AFTER_S = 1
-
 #: Bodies above this parse + quantize on the executor instead of the event
 #: loop, so one bulk request cannot stall health checks and coalescing
 #: deadlines for everyone else.  (Quantization is elementwise, so where it
 #: runs cannot change any served bit.)
 _INLINE_BODY_BYTES = 64 * 1024
-
-#: Control endpoints a pooled worker must not answer alone: hitting any
-#: of these on the *public* (shared) port reaches one arbitrary worker,
-#: so the worker forwards to the pool manager, which fans out / merges
-#: across every worker (see :mod:`repro.serve.pool`).  The manager's
-#: fan-out comes back on each worker's loopback admin listener, which is
-#: trusted as "local" and answered directly.
-_POOLED_FORWARD = {"/swap", "/ab", "/rollback", "/stats", "/metrics"}
-
-
-#: The serving knobs checked before anything starts: name -> (valid?, why).
-_KNOB_RULES = {
-    "max_batch": (lambda v: v >= 1, "max_batch must be >= 1"),
-    "max_delay_ms": (
-        lambda v: math.isfinite(v) and v >= 0,
-        "max_delay_ms must be a finite number >= 0",
-    ),
-    "queue_limit": (lambda v: v >= 1, "queue_limit must be >= 1"),
-    "executor_workers": (lambda v: v >= 1, "executor_workers must be >= 1"),
-    "submit_timeout_s": (
-        lambda v: math.isfinite(v) and v > 0,
-        "submit_timeout_s must be a finite number > 0",
-    ),
-    "canary_every": (lambda v: v >= 0, "canary_every must be >= 0"),
-    "shed_threshold": (
-        lambda v: v is None or 0.0 < v <= 1.0,
-        "shed_threshold must be in (0, 1]",
-    ),
-    "rollback_after": (lambda v: v >= 0, "rollback_after must be >= 0"),
-}
-
-
-def check_knobs(knobs: dict) -> None:
-    """Raise ``ValueError`` for the first serving knob outside its range.
-
-    ``knobs`` maps :class:`InferenceServer` keyword names to values; names
-    without a rule, and knobs left out (their defaults are valid), are not
-    checked.  The server runs it at construction and the worker pool
-    before it spawns a worker, so a bad knob fails at startup either way.
-    """
-    for name, value in knobs.items():
-        rule = _KNOB_RULES.get(name)
-        if rule is not None and not rule[0](value):
-            raise ValueError(rule[1])
 
 
 class InferenceServer:
@@ -231,7 +179,8 @@ class InferenceServer:
         self.port = self._server.sockets[0].getsockname()[1]
         if self.pool_manager_port is not None:
             self._admin_server = await asyncio.start_server(
-                self._handle_admin_connection, "127.0.0.1", 0
+                functools.partial(self._handle_connection, local=True),
+                "127.0.0.1", 0,
             )
             self.admin_port = (
                 self._admin_server.sockets[0].getsockname()[1]
@@ -280,12 +229,10 @@ class InferenceServer:
         if self._closing:
             return
         self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self._admin_server is not None:
-            self._admin_server.close()
-            await self._admin_server.wait_closed()
+        for listener in (self._server, self._admin_server):
+            if listener is not None:
+                listener.close()
+                await listener.wait_closed()
         if self._batchers:
             await asyncio.gather(
                 *(b.close() for b in self._batchers.values())
@@ -320,89 +267,41 @@ class InferenceServer:
         return batcher
 
     # -- HTTP plumbing --------------------------------------------------
-    async def _handle_admin_connection(self, reader, writer) -> None:
-        """The loopback admin listener: same handler, trusted as local."""
-        await self._handle_connection(reader, writer, local=True)
-
     async def _handle_connection(self, reader, writer,
                                  local: bool = False) -> None:
+        """One connection on the public listener, or on the loopback admin
+        listener (``local``: trusted, never forwarded, not drained)."""
         if not local:
             self._conn_writers.add(writer)
         try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except _HttpError as exc:
-                    await self._write_response(
-                        writer, exc.status, {"error": exc.message}, True
-                    )
-                    break
-                if request is None:
-                    break
-                method, path, headers, body = request
-                faults.fire(POINT_CONNECTION, path=path)
-                close_conn = headers.get("connection", "").lower() == "close"
-                if self._draining and not local:
-                    # Answer this request, then shut the connection so the
-                    # client reconnects to a live worker.
-                    close_conn = True
-                content_type = "application/json"
-                extra_headers: dict[str, str] = {}
-                self._active_requests += 1
-                try:
-                    result = await self._dispatch(method, path, body,
-                                                  local=local)
-                    status, payload = result[0], result[1]
-                    if len(result) > 2:  # /metrics returns its own type
-                        content_type = result[2]
-                except _HttpError as exc:
-                    status, payload = exc.status, {"error": exc.message}
-                    extra_headers = exc.headers
-                except QueueSaturated as exc:
-                    # Load shedding: refuse fast with a retry hint rather
-                    # than stacking more latency onto a saturated queue.
-                    status = 503
-                    payload = {
-                        "error": str(exc),
-                        "retry_after_s": _RETRY_AFTER_S,
-                    }
-                    extra_headers = {"Retry-After": str(_RETRY_AFTER_S)}
-                except DeadlineExceeded as exc:
-                    # The request's own deadline expired while it queued;
-                    # its rows were never executed.
-                    status, payload = 504, {"error": str(exc)}
-                except ServiceClosed as exc:
-                    status, payload = 503, {"error": str(exc)}
-                except Exception as exc:  # never tear the connection down
-                    # Batch-execution failures were already counted (once
-                    # per batch) by the batcher; don't count them again for
-                    # each of the N coalesced requests they fan out to.
-                    if not getattr(exc, "_repro_counted", False):
-                        self.stats.record_error()
-                    status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
-                finally:
-                    self._active_requests -= 1
-                await self._write_response(
-                    writer, status, payload, close_conn, content_type,
-                    extra_headers,
-                )
-                if close_conn:
-                    break
-        except (asyncio.IncompleteReadError, ConnectionError):
-            # Abrupt client disconnects (reset mid-read, EPIPE mid-write)
-            # are normal churn, not server errors.
-            pass
+            await serve_connection(
+                reader, writer,
+                functools.partial(self._dispatch, local=local),
+                read=self._read_request,
+                write=self._write_response,
+                on_request=functools.partial(self._on_request, local=local),
+                on_fault=self._count_fault,
+            )
         finally:
             self._conn_writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+
+    def _on_request(self, target: str, local: bool) -> bool:
+        """Pre-dispatch: fire the connection fault point; when draining,
+        answer this request and then shut the connection so the client
+        reconnects to a live worker."""
+        faults.fire(POINT_CONNECTION, path=target)
+        return self._draining and not local
+
+    def _count_fault(self, exc: Exception) -> None:
+        # Batch-execution failures were already counted (once per batch)
+        # by the batcher; don't count them again for each of the N
+        # coalesced requests they fan out to.
+        if not getattr(exc, "_repro_counted", False):
+            self.stats.record_error()
 
     # The HTTP parser/renderer is shared with the pool control plane
-    # (``repro.serve.http``); these staticmethod hooks keep the handler
-    # code and the test surface unchanged.
+    # (``repro.serve.http``); the loop looks these class attributes up per
+    # connection, so a profiler can wrap them.
     _read_request = staticmethod(read_request)
     _write_response = staticmethod(write_response)
 
@@ -422,95 +321,87 @@ class InferenceServer:
                 timeout_s=60.0,
             )
         except (OSError, asyncio.TimeoutError) as exc:
-            raise _HttpError(
+            raise HttpError(
                 502, f"pool manager unreachable: {type(exc).__name__}"
             ) from None
         content_type = (
-            "text/plain; version=0.0.4; charset=utf-8"
-            if path == "/metrics"
-            else "application/json"
+            METRICS_CONTENT_TYPE if path == "/metrics" else "application/json"
         )
         return status, data, content_type
 
-    async def _dispatch(self, method: str, path: str, body: bytes,
+    async def _dispatch(self, method: str, target: str, body: bytes,
                         local: bool = False):
-        path, _query = split_query(path)
-        if (
-            self.pool_manager_port is not None
-            and not local
-            and path in _POOLED_FORWARD
-        ):
-            return await self._forward_to_manager(method, path, body)
-        if path == "/health":
-            self._require(method, "GET")
-            return 200, self._health()
-        if path == "/stats":
-            self._require(method, "GET")
-            if local and self.pool_manager_port is not None:
-                # The manager's scrape: raw mergeable state, not the
-                # rounded snapshot (percentiles cannot be averaged).
-                return 200, self._export_worker_state()
-            return 200, self.stats.snapshot()
-        if path == "/metrics":
-            self._require(method, "GET")
-            text = self.stats.render_prometheus(
-                queue_depths={
-                    key: batcher.pending
-                    for key, batcher in self._batchers.items()
-                },
-                effective_delay_ms={
-                    key: round(batcher.effective_delay_ms, 6)
-                    for key, batcher in self._batchers.items()
-                },
-            )
-            return (
-                200,
-                text.encode("utf-8"),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
-        if path == "/rollback":
-            self._require(method, "POST")
-            return 200, await self._rollback_endpoint(self._json_body(body))
-        if path == "/models":
-            self._require(method, "GET")
-            return 200, {
-                "loaded": [m.describe() for m in self.registry.loaded()],
-                "batching": {
-                    "max_batch": self.max_batch,
-                    "max_delay_ms": self.max_delay_ms,
-                    "queue_limit": self.queue_limit,
-                    "adaptive_delay": self.adaptive_delay,
-                    "shed_threshold": self.shed_threshold,
-                    "rollback_after": self.rollback_after,
-                    "effective_delay_ms": {
-                        key: round(batcher.effective_delay_ms, 3)
-                        for key, batcher in sorted(self._batchers.items())
-                    },
-                },
-                "ab": {
-                    dataset: exp.describe()
-                    for dataset, exp in sorted(self._experiments.items())
-                },
-            }
-        if path == "/warmup":
-            self._require(method, "POST")
-            model = await self._resolve_model(self._json_body(body))
-            return 200, model.describe()
-        if path == "/swap":
-            self._require(method, "POST")
-            return 200, await self._swap(self._json_body(body))
-        if path == "/ab":
-            if method == "GET":
+        self._active_requests += 1
+        try:
+            path = route(method, target)
+            if (
+                self.pool_manager_port is not None
+                and not local
+                and path in CONTROL_PATHS
+            ):
+                return await self._forward_to_manager(method, path, body)
+            if path == "/predict":
+                return 200, await self._predict(body)
+            if path == "/health":
+                return 200, self._health()
+            if path == "/stats":
+                if local and self.pool_manager_port is not None:
+                    # The manager's scrape: raw mergeable state, not the
+                    # rounded snapshot (percentiles cannot be averaged).
+                    return 200, self._export_worker_state()
+                return 200, self.stats.snapshot()
+            if path == "/metrics":
+                text = self.stats.render_prometheus(**self._batcher_gauges())
+                return 200, text.encode("utf-8"), METRICS_CONTENT_TYPE
+            if path == "/models":
                 return 200, {
-                    dataset: exp.describe()
-                    for dataset, exp in sorted(self._experiments.items())
+                    "loaded": [m.describe() for m in self.registry.loaded()],
+                    "batching": {
+                        "max_batch": self.max_batch,
+                        "max_delay_ms": self.max_delay_ms,
+                        "queue_limit": self.queue_limit,
+                        "adaptive_delay": self.adaptive_delay,
+                        "shed_threshold": self.shed_threshold,
+                        "rollback_after": self.rollback_after,
+                        "effective_delay_ms": {
+                            key: round(batcher.effective_delay_ms, 3)
+                            for key, batcher in sorted(self._batchers.items())
+                        },
+                    },
+                    "ab": self._ab_report(),
                 }
-            self._require(method, "POST")
-            return 200, await self._configure_ab(self._json_body(body))
-        if path == "/predict":
-            self._require(method, "POST")
-            return 200, await self._predict(body)
-        raise _HttpError(404, f"no route for {path}")
+            if path == "/ab" and method == "GET":
+                return 200, self._ab_report()
+            payload = self._json_body(body)
+            if path == "/warmup":
+                return 200, (await self._resolve_model(payload)).describe()
+            if path == "/swap":
+                return 200, await self._swap(payload)
+            if path == "/rollback":
+                return 200, await self._rollback_endpoint(payload)
+            return 200, await self._configure_ab(payload)  # POST /ab
+        finally:
+            self._active_requests -= 1
+
+    def _ab_report(self) -> dict:
+        return {
+            dataset: exp.describe()
+            for dataset, exp in sorted(self._experiments.items())
+        }
+
+    def _batcher_gauges(self) -> dict:
+        """Per-batcher queue depths and effective delays, as ``/metrics``
+        renders them and the admin ``/stats`` exports them."""
+        return {
+            "queue_depths": {
+                key: batcher.pending
+                for key, batcher in self._batchers.items()
+            },
+            "effective_delay_ms": {
+                key: round(batcher.effective_delay_ms, 6)
+                for key, batcher in self._batchers.items()
+            },
+        }
 
     def _health(self) -> dict:
         """The ``/health`` body, reporting degraded states honestly.
@@ -560,62 +451,60 @@ class InferenceServer:
             "worker": self.pool_worker_index,
             "draining": self._draining,
             "state": self.stats.export_state(),
-            "queue_depths": {
-                key: batcher.pending
-                for key, batcher in self._batchers.items()
-            },
-            "effective_delay_ms": {
-                key: round(batcher.effective_delay_ms, 6)
-                for key, batcher in self._batchers.items()
-            },
+            **self._batcher_gauges(),
             "models_loaded": len(self.registry.loaded()),
         }
-
-    @staticmethod
-    def _require(method: str, expected: str) -> None:
-        if method != expected:
-            raise _HttpError(405, f"use {expected}")
 
     @staticmethod
     def _json_body(body: bytes) -> dict:
         try:
             payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
-            raise _HttpError(400, "body must be a JSON object") from None
+            raise HttpError(400, "body must be a JSON object") from None
         if not isinstance(payload, dict):
-            raise _HttpError(400, "body must be a JSON object")
+            raise HttpError(400, "body must be a JSON object")
         return payload
 
-    async def _resolve_model(self, payload: dict) -> ServedModel:
+    async def _model_op(self, payload: dict, op):
+        """``await op(dataset, format)`` on the payload's model key.
+
+        The one ``(dataset, format)`` check that ``/predict``, ``/warmup``,
+        ``/swap`` and ``/rollback`` share: missing or non-string names, and
+        names the registry does not know (its ``KeyError``), are the
+        client's 400.
+        """
         dataset = payload.get("dataset")
         format_name = payload.get("format")
         if not isinstance(dataset, str) or not isinstance(format_name, str):
-            raise _HttpError(400, "need string fields 'dataset' and 'format'")
+            raise HttpError(400, "need string fields 'dataset' and 'format'")
         try:
-            return await self.registry.get(
-                dataset, format_name, executor=self._executor
-            )
+            return await op(dataset, format_name)
         except KeyError as exc:
-            raise _HttpError(400, str(exc.args[0])) from None
+            raise HttpError(400, str(exc.args[0])) from None
+
+    async def _resolve_model(self, payload: dict) -> ServedModel:
+        return await self._model_op(payload, functools.partial(
+            self.registry.get, executor=self._executor
+        ))
 
     @staticmethod
     def _quantize_inputs(model: ServedModel, payload: dict) -> np.ndarray:
         raw = payload.get("inputs")
         if raw is None:
-            raise _HttpError(400, "missing 'inputs'")
+            raise HttpError(400, "missing 'inputs'")
         try:
             inputs = np.asarray(raw, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise _HttpError(400, "'inputs' must be a numeric array") from None
+        except (TypeError, ValueError, OverflowError):  # or a huge integer
+            raise HttpError(400, "'inputs' must be a numeric array") from None
         if not np.isfinite(inputs).all():
             # json.loads accepts NaN and Infinity; the quantizer does not.
-            raise _HttpError(400, "'inputs' must be finite numbers")
+            raise HttpError(400, "'inputs' must be finite numbers")
         if inputs.ndim == 1:
             inputs = inputs[None, :]
         if inputs.ndim != 2 or inputs.shape[0] == 0:
-            raise _HttpError(400, "'inputs' must be (rows, features), rows >= 1")
+            raise HttpError(400, "'inputs' must be (rows, features), rows >= 1")
         if inputs.shape[1] != model.num_features:
-            raise _HttpError(
+            raise HttpError(
                 400,
                 f"{model.dataset} expects {model.num_features} features, "
                 f"got {inputs.shape[1]}",
@@ -633,29 +522,11 @@ class InferenceServer:
         """
         if self._closing:
             raise ServiceClosed("server is shutting down; cannot swap")
-        dataset = payload.get("dataset")
-        format_name = payload.get("format")
-        if not isinstance(dataset, str) or not isinstance(format_name, str):
-            raise _HttpError(400, "need string fields 'dataset' and 'format'")
-        try:
-            model = await self.registry.reload(
-                dataset, format_name, executor=self._executor
-            )
-        except KeyError as exc:
-            raise _HttpError(400, str(exc.args[0])) from None
-        batcher = self._batchers.get(model.key)
-        generation = (
-            batcher.swap_model(model) if batcher is not None else 1
-        )
-        for experiment in self._experiments.values():
-            if experiment.arm_a.key == model.key:
-                experiment.arm_a = model
-            if experiment.arm_b.key == model.key:
-                experiment.arm_b = model
-            if model.key in (experiment.arm_a.key, experiment.arm_b.key):
-                # A fresh generation is judged fresh: its rollback
-                # counter must not inherit its predecessor's strikes.
-                experiment.reset_arm_divergences(model.format_name)
+        model = await self._model_op(payload, functools.partial(
+            self.registry.reload, executor=self._executor
+        ))
+        # A key no batcher has served yet is on its first generation.
+        generation = self._install(model) or 1
         self.stats.record_swap()
         return {
             "swapped": model.key,
@@ -663,8 +534,32 @@ class InferenceServer:
             "model": model.describe(),
         }
 
+    def _install(self, model: ServedModel, rollback: bool = False):
+        """Serve ``model`` as its key's current generation.
+
+        The live batcher (if any) flips to it between batches, and an A/B
+        arm on the key follows, so the canary keeps comparing served
+        output against the network that actually serves.  That arm's
+        divergence count resets: a fresh or restored generation is judged
+        on its own, never on its predecessor's strikes.  Returns the
+        batcher's new generation, or ``None`` when the key has no batcher.
+        """
+        batcher = self._batchers.get(model.key)
+        generation = batcher.swap_model(model) if batcher is not None else None
+        for experiment in self._experiments.values():
+            if experiment.arm_a.key == model.key:
+                experiment.arm_a = model
+            elif experiment.arm_b.key == model.key:
+                experiment.arm_b = model
+            else:
+                continue
+            experiment.reset_arm_divergences(model.format_name)
+            if rollback:
+                experiment.rollbacks += 1
+        return generation
+
     async def _configure_ab(self, payload: dict) -> dict:
-        """``POST /ab``: serve one dataset A/B across two formats."""
+        """``POST /ab``: :meth:`configure_ab` on a checked payload."""
         dataset = payload.get("dataset")
         format_a = payload.get("format_a")
         format_b = payload.get("format_b")
@@ -674,7 +569,7 @@ class InferenceServer:
             and isinstance(format_a, str)
             and isinstance(format_b, str)
         ):
-            raise _HttpError(
+            raise HttpError(
                 400, "need string fields 'dataset', 'format_a', 'format_b'"
             )
         if (
@@ -682,23 +577,15 @@ class InferenceServer:
             or not isinstance(canary_every, int)
             or canary_every < 0
         ):
-            raise _HttpError(400, "'canary_every' must be an integer >= 0")
+            raise HttpError(400, "'canary_every' must be an integer >= 0")
         try:
-            arm_a = await self.registry.get(
-                dataset, format_a, executor=self._executor
-            )
-            arm_b = await self.registry.get(
-                dataset, format_b, executor=self._executor
-            )
-            experiment = ABExperiment(
-                dataset, arm_a, arm_b, canary_every=canary_every
+            return await self.configure_ab(
+                dataset, format_a, format_b, canary_every
             )
         except KeyError as exc:
-            raise _HttpError(400, str(exc.args[0])) from None
+            raise HttpError(400, str(exc.args[0])) from None
         except ValueError as exc:
-            raise _HttpError(400, str(exc)) from None
-        self._experiments[dataset] = experiment
-        return experiment.describe()
+            raise HttpError(400, str(exc)) from None
 
     async def configure_ab(
         self,
@@ -707,16 +594,23 @@ class InferenceServer:
         format_b: str,
         canary_every: int | None = None,
     ) -> dict:
-        """Register (or replace) an A/B experiment — the CLI ``--ab`` path."""
-        payload = {
-            "dataset": dataset, "format_a": format_a, "format_b": format_b,
-        }
-        if canary_every is not None:
-            payload["canary_every"] = canary_every
-        try:
-            return await self._configure_ab(payload)
-        except _HttpError as exc:
-            raise ValueError(exc.message) from None
+        """Register (or replace) an A/B experiment — ``POST /ab`` and the
+        CLI ``--ab`` path.  Raises ``KeyError`` for an unknown dataset or
+        format and ``ValueError`` for an invalid pair."""
+        arm_a = await self.registry.get(
+            dataset, format_a, executor=self._executor
+        )
+        arm_b = await self.registry.get(
+            dataset, format_b, executor=self._executor
+        )
+        experiment = ABExperiment(
+            dataset, arm_a, arm_b,
+            canary_every=(
+                self.canary_every if canary_every is None else canary_every
+            ),
+        )
+        self._experiments[dataset] = experiment
+        return experiment.describe()
 
     # -- the predict path -----------------------------------------------
     async def _submit(
@@ -736,7 +630,7 @@ class InferenceServer:
             )
         except asyncio.TimeoutError:
             self.stats.record_rejected()
-            raise _HttpError(503, "prediction queue saturated; retry") from None
+            raise HttpError(503, "prediction queue saturated; retry") from None
 
     @staticmethod
     def _parse_deadline(payload: dict, loop) -> float | None:
@@ -745,11 +639,14 @@ class InferenceServer:
         raw = payload.get("deadline_ms")
         if raw is None:
             return None
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-            raise _HttpError(400, "'deadline_ms' must be a positive number")
-        if not raw > 0 or not np.isfinite(raw):
-            raise _HttpError(400, "'deadline_ms' must be a positive number")
-        return loop.time() + float(raw) / 1000.0
+        number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+        try:
+            budget_ms = float(raw) if number else math.nan
+        except OverflowError:  # a JSON integer past float64's range
+            budget_ms = math.nan
+        if not 0.0 < budget_ms < math.inf:
+            raise HttpError(400, "'deadline_ms' must be a positive number")
+        return loop.time() + budget_ms / 1000.0
 
     async def _run_canary(
         self,
@@ -808,37 +705,25 @@ class InferenceServer:
                 continue
             count = experiment.record_arm_divergence(arm.format_name)
             if self.rollback_after and count >= self.rollback_after:
-                event = await self._rollback_arm(experiment, arm)
+                # In a worker pool the rollback also fans out: siblings
+                # serve the same convicted generation (swaps are
+                # broadcast), and each sibling's own rollback is
+                # idempotent (no previous generation left = no-op).
+                event = await self._apply_rollback(
+                    arm.dataset, arm.format_name, notify_pool=True
+                )
                 if event is not None:
                     rollbacks.append(event)
         if rollbacks:
             result["rollbacks"] = rollbacks
         return result
 
-    async def _rollback_arm(
-        self, experiment: ABExperiment, bad: ServedModel
-    ) -> dict | None:
-        """Swap one A/B arm back to its last-known-good generation.
-
-        In a worker pool the rollback also fans out: siblings are serving
-        the same convicted generation (swaps are broadcast), so the
-        manager is told to roll every worker back — each sibling's own
-        rollback is idempotent (no previous generation left = no-op).
-        """
-        return await self._apply_rollback(
-            bad.dataset, bad.format_name, notify_pool=True
-        )
-
     async def _rollback_endpoint(self, payload: dict) -> dict:
         """``POST /rollback``: restore the previous generation of one
         model — the manual counterpart of the automatic canary rollback,
         and the fan-out target the pool manager broadcasts to.  Idempotent:
         with no stashed previous generation it reports a no-op."""
-        dataset = payload.get("dataset")
-        format_name = payload.get("format")
-        if not isinstance(dataset, str) or not isinstance(format_name, str):
-            raise _HttpError(400, "need string fields 'dataset' and 'format'")
-        event = await self._apply_rollback(dataset, format_name)
+        event = await self._model_op(payload, self._apply_rollback)
         if event is None:
             return {
                 "rolled_back": None,
@@ -860,21 +745,7 @@ class InferenceServer:
         restored = await self.registry.rollback(dataset, format_name)
         if restored is None:
             return None
-        batcher = self._batchers.get(restored.key)
-        generation = (
-            batcher.swap_model(restored) if batcher is not None else None
-        )
-        for exp in self._experiments.values():
-            if exp.arm_a.key == restored.key:
-                exp.arm_a = restored
-            if exp.arm_b.key == restored.key:
-                exp.arm_b = restored
-            if restored.key in (exp.arm_a.key, exp.arm_b.key):
-                # The restored generation gets a clean slate: its canary
-                # verdicts must not inherit the convicted generation's
-                # divergences.
-                exp.reset_arm_divergences(restored.format_name)
-                exp.rollbacks += 1
+        generation = self._install(restored, rollback=True)
         self.stats.record_rollback()
         event = {
             "rolled_back": restored.key,
@@ -964,9 +835,13 @@ class InferenceServer:
 # Embedding and CLI entry points
 # ----------------------------------------------------------------------
 class ServerHandle:
-    """A server running on a background thread, with a blocking ``stop``."""
+    """A server running on a background thread, with a blocking ``stop``.
 
-    def __init__(self, server: InferenceServer, loop, thread, stop_event):
+    :class:`~repro.serve.pool.PoolHandle` reuses it for a worker pool,
+    whose ``server`` is then the :class:`~repro.serve.pool.WorkerPool`.
+    """
+
+    def __init__(self, server, loop, thread, stop_event):
         self.server = server
         self._loop = loop
         self._thread = thread
@@ -988,38 +863,58 @@ class ServerHandle:
         self.stop()
 
 
-def start_in_thread(**server_kwargs) -> ServerHandle:
-    """Start an :class:`InferenceServer` on a daemon thread; wait until it
-    is accepting connections (``port=0`` resolves to the bound port)."""
+def _start_on_thread(make, close, name: str) -> tuple:
+    """Run ``make()`` on a daemon thread with its own event loop.
+
+    Waits until the service's ``start()`` returns and gives back
+    ``(service, loop, thread, stop_event)``; setting ``stop_event`` runs
+    ``close(service)`` and ends the thread.  A construction or start error
+    (a bind error, a bad knob) is raised here, after ``close(service)``
+    released whatever the service had started.
+    """
     ready = threading.Event()
     holder: dict = {}
 
     async def main() -> None:
-        server = InferenceServer(**server_kwargs)
-        await server.start()
+        service = make()
+        try:
+            await service.start()
+        except Exception as exc:
+            holder["error"] = exc
+            ready.set()
+            await close(service)
+            return
         stop_event = asyncio.Event()
-        holder["server"] = server
-        holder["loop"] = asyncio.get_running_loop()
-        holder["stop_event"] = stop_event
+        holder["started"] = (service, asyncio.get_running_loop(), stop_event)
         ready.set()
-        await stop_event.wait()
-        await server.close()
+        try:
+            await stop_event.wait()
+        finally:
+            await close(service)
 
     def run() -> None:
         try:
             asyncio.run(main())
-        except Exception as exc:  # surface bind errors to the caller
-            holder["error"] = exc
+        except Exception as exc:  # surface constructor errors to the caller
+            holder.setdefault("error", exc)
             ready.set()
 
-    thread = threading.Thread(target=run, name="repro-serve", daemon=True)
+    thread = threading.Thread(target=run, name=name, daemon=True)
     thread.start()
     ready.wait()
     if "error" in holder:
         raise holder["error"]
-    return ServerHandle(
-        holder["server"], holder["loop"], thread, holder["stop_event"]
-    )
+    service, loop, stop_event = holder["started"]
+    return service, loop, thread, stop_event
+
+
+def start_in_thread(**server_kwargs) -> ServerHandle:
+    """Start an :class:`InferenceServer` on a daemon thread; wait until it
+    is accepting connections (``port=0`` resolves to the bound port)."""
+    return ServerHandle(*_start_on_thread(
+        lambda: InferenceServer(**server_kwargs), InferenceServer.close,
+        "repro-serve",
+    ))
 
 
 async def serve_forever(warmups=(), ab_experiments=(), **server_kwargs) -> None:

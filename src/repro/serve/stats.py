@@ -29,6 +29,13 @@ _LATENCY_WINDOW = 4096
 #: Powers of two cover every sane ``max_batch``; +Inf is appended on render.
 _BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
+#: The scalar event counters, which sum across worker processes.
+_COUNTERS = (
+    "requests", "samples", "batches", "errors", "rejected", "shed",
+    "deadline_expired", "swaps", "rollbacks", "batch_retries",
+    "canary_checks", "canary_divergences",
+)
+
 
 def percentile(samples: list[float], q: float) -> float:
     """The ``q``-th percentile (0-100) by nearest-rank, 0.0 when empty.
@@ -179,18 +186,7 @@ class ServeStats:
         the concatenated windows, not averaged per worker.
         """
         return {
-            "requests": self.requests,
-            "samples": self.samples,
-            "batches": self.batches,
-            "errors": self.errors,
-            "rejected": self.rejected,
-            "shed": self.shed,
-            "deadline_expired": self.deadline_expired,
-            "swaps": self.swaps,
-            "rollbacks": self.rollbacks,
-            "batch_retries": self.batch_retries,
-            "canary_checks": self.canary_checks,
-            "canary_divergences": self.canary_divergences,
+            **{name: getattr(self, name) for name in _COUNTERS},
             "batch_sizes": {str(k): v for k, v in self.batch_sizes.items()},
             "per_model": dict(self.per_model),
             "latencies_ms": list(self._latencies_ms),
@@ -333,11 +329,7 @@ def merge_states(states: list[dict]) -> ServeStats:
     """
     merged = ServeStats()
     for state in states:
-        for name in (
-            "requests", "samples", "batches", "errors", "rejected", "shed",
-            "deadline_expired", "swaps", "rollbacks", "batch_retries",
-            "canary_checks", "canary_divergences",
-        ):
+        for name in _COUNTERS:
             setattr(merged, name, getattr(merged, name) + int(
                 state.get(name, 0)
             ))

@@ -3,7 +3,8 @@
 Covers the contract pinned down in ``docs/serving.md``: deadline flush for
 lone requests, ``max_batch`` overflow splitting, per-model batching (no
 cross-batching), bit-identity to direct ``predict`` under concurrent load,
-bounded-queue backpressure, and drain-on-shutdown.
+bounded-queue backpressure, load shedding, per-request deadline expiry,
+knob validation, the adaptive coalescing window, and drain-on-shutdown.
 """
 
 from __future__ import annotations
@@ -18,7 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import formats
-from repro.serve.batcher import MicroBatcher, ServiceClosed
+from repro.serve.batcher import (
+    DeadlineExceeded,
+    MicroBatcher,
+    PendingRequest,
+    QueueSaturated,
+    ServiceClosed,
+)
 from repro.serve.registry import build_served_model
 from repro.serve.stats import ServeStats
 
@@ -241,6 +248,20 @@ class _GatedNetwork:
         return np.zeros(patterns.shape[0], dtype=np.int64)
 
 
+def _gated_model():
+    return SimpleNamespace(key="toy/gated", network=_GatedNetwork())
+
+
+async def _await_gated(model, timeout_s: float = 5.0):
+    """Wait until the worker is inside the gated forward — i.e. the first
+    request has been dequeued and the queue is empty again."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout_s
+    while model.network.calls < 1 and loop.time() < deadline:
+        await asyncio.sleep(0.005)
+    assert model.network.calls >= 1
+
+
 class TestBackpressure:
     def test_bounded_queue_blocks_submitters_until_capacity_frees(self):
         network = _GatedNetwork()
@@ -270,6 +291,109 @@ class TestBackpressure:
         results = asyncio.run(scenario())
         assert all(r.shape == (1,) for r in results)
         assert network.calls == 6  # max_batch=1: every request its own batch
+
+
+class TestShedding:
+    def test_shed_math_matches_served_semantics(self):
+        model = toy_model()
+        batcher = MicroBatcher(model, queue_limit=4, shed_threshold=0.5)
+        unshed = MicroBatcher(model, queue_limit=4, shed_threshold=None)
+        assert batcher.shed_at == 2  # ceil(0.5 * 4)
+        shedding = []
+        for _ in range(4):
+            shedding.append((batcher.shedding, unshed.shedding))
+            batcher._queue.put_nowait(None)
+            unshed._queue.put_nowait(None)
+        assert shedding == [(False, False), (False, False),
+                            (True, False), (True, False)]
+
+    def test_shed_at_floor_is_one(self):
+        batcher = MicroBatcher(
+            toy_model(), queue_limit=100, shed_threshold=0.001
+        )
+        assert batcher.shed_at == 1
+
+    def test_shed_threshold_rejects_behind_a_gated_batch(self):
+        """queue_limit=4, shed_threshold=0.5 -> exactly 2 late requests
+        queue behind a gated batch, the other 2 shed with QueueSaturated."""
+        model = _gated_model()
+        patterns = np.zeros((1, 4), dtype=np.uint32)
+
+        async def scenario():
+            batcher = MicroBatcher(
+                model, max_batch=1, max_delay_ms=0.0, queue_limit=4,
+                shed_threshold=0.5,
+            )
+            first = asyncio.ensure_future(batcher.submit(patterns))
+            await _await_gated(model)
+            late = [
+                asyncio.ensure_future(batcher.submit(patterns))
+                for _ in range(4)
+            ]
+            await asyncio.sleep(0.01)  # the shed ones fail at once
+            shed = [f.exception() for f in late if f.done()]
+            model.network.release.set()
+            outcomes = await asyncio.gather(*late, return_exceptions=True)
+            await first
+            await batcher.close()
+            return shed, outcomes, batcher.stats
+
+        shed, outcomes, stats = asyncio.run(scenario())
+        assert len(shed) == 2
+        assert all(isinstance(exc, QueueSaturated) for exc in shed)
+        answered = [o for o in outcomes if isinstance(o, np.ndarray)]
+        assert len(answered) == 2
+        assert stats.shed == 2
+
+
+class TestDeadlineExpiry:
+    def test_expiry_partitions_a_batch_by_deadline(self):
+        """Expiry is judged at batch assembly: expired requests are
+        answered DeadlineExceeded, live ones keep their place."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            batcher = MicroBatcher(toy_model())
+            now = loop.time()
+            batch = [
+                PendingRequest(
+                    np.zeros((1, 4), dtype=np.uint32), 1,
+                    loop.create_future(), now, deadline,
+                )
+                for deadline in (None, now - 1.0, now + 60.0)
+            ]
+            live = batcher._expire_deadlines(batch, loop)
+            return batch, live, batcher.stats
+
+        batch, live, stats = asyncio.run(scenario())
+        assert [item.deadline for item in live] == [
+            batch[0].deadline, batch[2].deadline,
+        ]
+        assert not batch[0].future.done() and not batch[2].future.done()
+        assert isinstance(batch[1].future.exception(), DeadlineExceeded)
+        assert stats.deadline_expired == 1
+
+    def test_deadline_expires_while_queued_behind_a_batch(self):
+        model = _gated_model()
+        patterns = np.zeros((1, 4), dtype=np.uint32)
+
+        async def scenario():
+            batcher = MicroBatcher(model, max_batch=1, max_delay_ms=0.0)
+            first = asyncio.ensure_future(batcher.submit(patterns))
+            await _await_gated(model)
+            loop = asyncio.get_running_loop()
+            doomed = asyncio.ensure_future(
+                batcher.submit(patterns, deadline=loop.time() + 0.05)
+            )
+            await asyncio.sleep(0.2)
+            model.network.release.set()
+            outcome = await asyncio.gather(doomed, return_exceptions=True)
+            await first
+            await batcher.close()
+            return outcome[0]
+
+        assert isinstance(asyncio.run(scenario()), DeadlineExceeded)
+        assert model.network.calls == 1  # the expired rows never ran
 
 
 class TestShutdown:
@@ -318,6 +442,19 @@ class TestValidation:
             MicroBatcher(model, max_batch=0)
         with pytest.raises(ValueError):
             MicroBatcher(model, max_delay_ms=-1.0)
+
+    def test_knob_validation(self):
+        model = toy_model()
+        for knobs in (
+            {"max_batch": 0},
+            {"max_delay_ms": -1.0},
+            {"max_delay_ms": float("nan")},
+            {"max_delay_ms": float("inf")},
+            {"queue_limit": 0},
+            {"shed_threshold": 1.5},
+        ):
+            with pytest.raises(ValueError):
+                MicroBatcher(model, **knobs)
 
     def test_rejects_non_2d_patterns(self, toy_inputs):
         model = toy_model()
@@ -480,6 +617,32 @@ class TestAdaptiveDelay:
         assert batcher.effective_delay == pytest.approx(0.001)
         batcher._arrival_gap_s = 0.2  # 100x the window: 0.02 ms < 1 ms
         assert batcher.effective_delay == 0.0
+
+    @pytest.mark.parametrize(
+        "gap_s, expected_s",
+        [
+            (0.2, 0.0),  # window 0.02 ms: under the floor, flush at once
+            (0.005, 0.0),  # window 0.8 ms: still under the floor
+            (0.004, 0.001),  # window exactly 1 ms: kept
+            (0.003, 0.002 * (0.002 / 0.003)),  # window 1.33 ms: kept
+        ],
+    )
+    def test_sparse_window_under_one_ms_flushes_at_once(
+        self, gap_s, expected_s
+    ):
+        batcher = self._batcher()  # max_delay = 2ms, max_batch = 8
+        batcher._arrival_gap_s = gap_s
+        assert batcher.effective_delay == pytest.approx(expected_s)
+
+    def test_sub_ms_max_delay_never_waits_on_sparse_traffic(self):
+        batcher = self._batcher(max_delay_ms=0.5)
+        for gap_s in (0.0005, 0.0006, 0.001, 0.01, 1.0, 1e3):
+            batcher._arrival_gap_s = gap_s
+            assert batcher.effective_delay == 0.0
+        # Cold start and dense traffic keep their windows below 1 ms too.
+        assert self._batcher(max_delay_ms=0.5).effective_delay == 0.0005
+        batcher._arrival_gap_s = 0.00005  # fill time 0.35 ms < 0.5 ms cap
+        assert batcher.effective_delay == pytest.approx(0.00035)
 
     def test_sparse_lone_request_arms_no_timed_wait(
         self, toy_inputs, monkeypatch

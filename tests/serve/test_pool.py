@@ -297,6 +297,24 @@ class TestRouterMode:
             assert per_worker.get(target, 0) > 0
         assert sum(per_worker.values()) == stats["requests"]
 
+    @pytest.mark.parametrize("path", ["/predict", "/warmup"])
+    @pytest.mark.parametrize("body", [b"[1]", b"null", b'"toy"'])
+    def test_router_answers_non_object_bodies_400(
+        self, router_pool, path, body
+    ):
+        """Valid JSON that is not an object is the client's 400, as on a
+        single server: the router forwards it unrouted."""
+        req = urllib.request.Request(
+            f"http://127.0.0.1:{router_pool.pool.port}{path}", data=body,
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(req, timeout=60)
+        assert err.value.code == 400
+        assert json.loads(err.value.read()) == {
+            "error": "body must be a JSON object"
+        }
+
     def test_router_aggregates_control_plane(self, router_pool):
         status, body = _post(router_pool.pool.port, "/swap", {
             "dataset": "toy", "format": "posit8_1",

@@ -25,7 +25,7 @@ from repro.serve import (
     ServeError,
     start_in_thread,
 )
-from repro.serve.batcher import MicroBatcher, _Pending
+from repro.serve.batcher import MicroBatcher, PendingRequest
 from repro.serve.registry import build_served_model
 from repro.serve.server import InferenceServer
 
@@ -46,8 +46,8 @@ def _stuff_queue(batcher: MicroBatcher, loop, count: int) -> None:
     """Park ``count`` dummy items in the queue without starting the worker."""
     for _ in range(count):
         batcher._queue.put_nowait(
-            _Pending(np.zeros((1, 4), dtype=np.uint32), 1,
-                     loop.create_future(), loop.time())
+            PendingRequest(np.zeros((1, 4), dtype=np.uint32), 1,
+                           loop.create_future(), loop.time())
         )
 
 

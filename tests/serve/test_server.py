@@ -24,12 +24,87 @@ from repro.serve import (
     ServeError,
     start_in_thread,
 )
+from repro.serve.http import ROUTES
 from repro.serve.registry import build_served_model
 
 from .conftest import tiny_loader
 
 #: The package sources, for CLI subprocesses.
 SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: A JSON integer past float64's range.
+HUGE = int("1" + "0" * 400)
+
+_X = [[0.1, -0.2, 0.3, 0.4]]
+_KEY = {"dataset": "toy", "format": "posit8_1"}
+
+#: Every route -> the methods its 405 must name.
+ALLOWED = {
+    "/health": "GET", "/models": "GET", "/stats": "GET", "/metrics": "GET",
+    "/warmup": "POST", "/predict": "POST", "/swap": "POST",
+    "/rollback": "POST", "/ab": "GET or POST",
+}
+
+#: (method, path, body, status, fragment of the error message): every
+#: malformed request a client can send.  None of them is a server fault.
+CLIENT_ERRORS = [
+    ("POST", "/predict", b"{not json", 400, "JSON object"),
+    ("POST", "/predict", b"[1]", 400, "JSON object"),
+    ("POST", "/predict", b"null", 400, "JSON object"),
+    ("POST", "/warmup", b"[1]", 400, "JSON object"),
+    ("POST", "/predict", {"format": "posit8_1", "inputs": _X}, 400,
+     "'dataset' and 'format'"),
+    ("POST", "/predict", {"dataset": "toy", "inputs": _X}, 400,
+     "'dataset' and 'format'"),
+    ("POST", "/predict", {"dataset": 7, "format": "posit8_1", "inputs": _X},
+     400, "'dataset' and 'format'"),
+    ("POST", "/predict", {"dataset": "toy", "format": 8, "inputs": _X}, 400,
+     "'dataset' and 'format'"),
+    ("POST", "/predict", {"dataset": "nope", "format": "posit8_1",
+                          "inputs": _X}, 400, "nope"),
+    ("POST", "/rollback", {"dataset": "toy", "format": "posit99_99"}, 400,
+     "posit99_99"),
+    ("POST", "/predict", dict(_KEY), 400, "missing 'inputs'"),
+    ("POST", "/predict", {**_KEY, "inputs": [["x", 1, 2, 3]]}, 400,
+     "numeric"),
+    ("POST", "/predict", {**_KEY, "inputs": [[HUGE, 1, 2, 3]]}, 400,
+     "numeric"),
+    ("POST", "/predict", {**_KEY, "inputs": [[float("nan"), 1, 2, 3]]}, 400,
+     "finite"),
+    ("POST", "/predict", {**_KEY, "inputs": [[float("inf"), 1, 2, 3]]}, 400,
+     "finite"),
+    ("POST", "/predict", {**_KEY, "inputs": []}, 400, "features"),
+    ("POST", "/predict", {**_KEY, "inputs": [_X]}, 400, "rows >= 1"),
+    ("POST", "/predict", {**_KEY, "inputs": [[0.1] * 7]}, 400,
+     "expects 4 features"),
+    ("POST", "/predict", {**_KEY, "inputs": _X, "deadline_ms": True}, 400,
+     "'deadline_ms' must be a positive number"),
+    ("POST", "/predict", {**_KEY, "inputs": _X, "deadline_ms": -5}, 400,
+     "'deadline_ms' must be a positive number"),
+    ("POST", "/predict", {**_KEY, "inputs": _X, "deadline_ms": HUGE}, 400,
+     "'deadline_ms' must be a positive number"),
+    ("GET", "/nope", b"", 404, "no route for /nope"),
+] + [
+    (method, path, b"", 405, f"use {allowed}")
+    for path, allowed in ALLOWED.items()
+    for method in ("GET", "POST", "PUT", "DELETE")
+    if method not in allowed
+]
+
+
+def _send(port, method, path, body):
+    """One request on a fresh connection: ``(status, error message)``."""
+    import http.client
+
+    if not isinstance(body, bytes):
+        body = json.dumps(body).encode("utf-8")
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request(method, path, body=body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read()).get("error")
+    finally:
+        conn.close()
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +170,23 @@ class TestEndpoints:
 
 
 class TestErrorPaths:
+    def test_client_errors_never_count_as_server_errors(self):
+        """Each malformed request gets its 4xx (every 405 naming the
+        route's methods), and ``/stats`` counts no server error."""
+        assert set(ALLOWED) == set(ROUTES)  # every route is covered
+        registry = ModelRegistry(loader=tiny_loader)
+        with start_in_thread(registry=registry, port=0) as server:
+            port = server.server.port
+            wrong = []
+            for method, path, body, status, fragment in CLIENT_ERRORS:
+                got = _send(port, method, path, body)
+                if got[0] != status or fragment not in got[1]:
+                    wrong.append((method, path, body, got))
+            with ServeClient(port=port) as c:
+                stats = c.stats()
+        assert wrong == []
+        assert stats["errors"] == 0
+
     def test_unknown_route_404(self, client):
         with pytest.raises(ServeError) as err:
             client._request("GET", "/nope")
