@@ -143,7 +143,7 @@ def _bench_one(workers: int, duration_s: float, threads: int) -> dict:
     expected = direct.network.predict(x).tolist()
 
     handle = start_pool_in_thread(
-        port=0, workers=workers, mode="reuseport",
+        port=0, workers=workers,
         loader_spec="benchmarks.bench_serve_scaling:_bench_loader",
         server_kwargs={"max_delay_ms": 1.0, "max_batch": 32},
         seed=workers,

@@ -377,16 +377,9 @@ def _serve(args: list[str]) -> int:
     )
     parser.add_argument(
         "--workers-procs", type=int, default=0, metavar="N",
-        help="fork N serving processes sharing the port (0 = single "
-             "process, the default); control ops fan out to all workers "
-             "and SIGHUP triggers a rolling restart",
-    )
-    parser.add_argument(
-        "--pool-mode", choices=("reuseport", "router"), default="reuseport",
-        help="multi-process distribution: 'reuseport' shards the listen "
-             "socket across workers via SO_REUSEPORT; 'router' proxies "
-             "each request to a worker chosen by (dataset, format) so "
-             "every model's micro-batcher stays hot in one worker",
+        help="fork N serving processes sharing the port via SO_REUSEPORT "
+             "(0 = single process, the default); control ops fan out to "
+             "all workers and SIGHUP triggers a rolling restart",
     )
     ns = parser.parse_args(args)
 
@@ -426,7 +419,6 @@ def _serve(args: list[str]) -> int:
                 host=ns.host,
                 port=ns.port,
                 workers=ns.workers_procs,
-                mode=ns.pool_mode,
                 warmups=tuple(warmups),
                 ab_experiments=tuple(ab_experiments),
                 server_kwargs=server_kwargs,

@@ -1,11 +1,12 @@
-"""In-process and on-disk caching of expensive experiment artifacts.
+"""Where expensive experiment artifacts live on disk, and how they land.
 
 Training the parent models and running exact-inference sweeps takes tens of
-seconds; tests, benchmarks, and examples all share the results through this
-module.  The on-disk layer is a JSON file per experiment under
+seconds; tests, benchmarks, and examples all share the results through the
+content-addressed store (:mod:`repro.analysis.store`) under
 ``.repro_cache/`` in the working directory (delete the directory, or set
 ``REPRO_NO_CACHE=1``, to force recomputation; point ``REPRO_CACHE_DIR``
-somewhere else to relocate it).
+somewhere else to relocate it).  This module owns that directory and the
+atomic write every artifact goes through.
 
 All writes are atomic: content goes to a per-writer unique temp file in the
 destination directory, then a ``rename`` publishes it.  Concurrent writers
@@ -21,14 +22,13 @@ import os
 import shutil
 import uuid
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from .. import faults
 
 __all__ = [
     "cache_dir",
     "cache_enabled",
-    "cached_json",
     "clear_cache",
     "atomic_write_json",
     "fsync_dir",
@@ -107,33 +107,6 @@ def atomic_write_json(path: Path, value: Any) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def cached_json(name: str, compute: Callable[[], Any]) -> Any:
-    """Return the cached JSON value for ``name`` or compute and store it.
-
-    Values must be JSON-serializable.  Caching is skipped entirely when the
-    ``REPRO_NO_CACHE`` environment variable is set.
-    """
-    if not cache_enabled():
-        return compute()
-    path = cache_dir() / f"{name}.json"
-    if path.exists():
-        try:
-            with path.open() as handle:
-                return json.load(handle)
-        except (ValueError, OSError):
-            # ValueError covers JSONDecodeError and the UnicodeDecodeError
-            # a corrupted byte sequence raises before JSON even parses.
-            path.unlink(missing_ok=True)
-    value = compute()
-    atomic_write_json(path, value)
-    return value
-
-
 def clear_cache() -> None:
-    """Delete all cached experiment results (flat JSONs and the store)."""
-    root = cache_dir()
-    for path in root.glob("*.json"):
-        path.unlink()
-    store = root / "store"
-    if store.is_dir():
-        shutil.rmtree(store, ignore_errors=True)
+    """Delete every cached experiment artifact (the whole store)."""
+    shutil.rmtree(cache_dir() / "store", ignore_errors=True)

@@ -20,7 +20,7 @@ Injection points currently registered across the codebase:
 ``client.send``     one client request write
 ``client.recv``     one client response read
 ``pool.worker``     a serve-pool worker process (start/ready/batch/drain)
-``pool.route``      one pool manager→worker control or routing hop
+``pool.route``      one pool manager→worker control fan-out hop
 ==================  =====================================================
 
 Actions: ``kill`` (``os._exit`` — a hard process death), ``raise`` (an

@@ -36,7 +36,7 @@ __all__ = ["LimbTables", "NumericFormat"]
 
 @dataclass(frozen=True)
 class LimbTables:
-    """Per-pattern decode tables consumed by the limb vector engine.
+    """Per-pattern decode tables consumed by the compiled network plans.
 
     Indexed by bit pattern.  ``signed_sig`` is the signed aligned
     significand (the EMAC multiplier input with its sign applied) and
@@ -49,9 +49,8 @@ class LimbTables:
     shift: np.ndarray  # int64, >= 0
     invalid: np.ndarray  # bool: patterns the datapath must never see
     relu: np.ndarray  # int64 pattern map
-    float_value: np.ndarray  # float64
-    max_shift: int  # largest shift_w + shift_a
-    sig_bits: int  # aligned significand width
+    max_shift: int  # largest shift_w + shift_a (sizes reference limbs)
+    sig_bits: int  # aligned significand width (sizes reference limbs)
     bias_extra_shift: int  # aligns a single input (not product) to the quire
 
 

@@ -64,7 +64,6 @@ class FloatBackend(NumericFormat):
             shift=shift,
             invalid=t.is_reserved,
             relu=t.relu.astype(np.int64),
-            float_value=t.float_value,
             max_shift=2 * (fmt.max_scale - (1 - fmt.bias)),
             sig_bits=fmt.wf + 1,
             # Input value = sig * 2**(scale - wf); over the quire LSB:

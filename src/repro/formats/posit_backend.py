@@ -71,7 +71,6 @@ class PositBackend(NumericFormat):
             shift=shift,
             invalid=t.is_nar,
             relu=t.relu.astype(np.int64),
-            float_value=t.float_value,
             max_shift=4 * fmt.max_scale,  # (scale - min) * 2 at both maxima
             sig_bits=fmt.significand_bits,
             # An input value sig * 2**(scale - max_frac) sits this far above

@@ -2,14 +2,13 @@
 
 One hand-rolled HTTP surface serves every listener and hop: the
 :class:`~repro.serve.server.InferenceServer`'s public and loopback admin
-listeners, the pool manager's control and router listeners
-(:mod:`repro.serve.pool`), and the in-process async client
-(:func:`fetch`) those use to talk to each other — worker → manager
-forwarding, manager → worker control fan-out, and router → worker
-proxying.  All four listeners run :func:`serve_connection`, answer
-errors from :func:`error_response`, and check methods against
-:data:`ROUTES`, so every hop speaks byte-identical HTTP and a framing or
-status fix lands everywhere at once.
+listeners, the pool manager's control listener (:mod:`repro.serve.pool`),
+and the in-process async client (:func:`fetch`) those use to talk to each
+other — worker → manager forwarding and manager → worker control fan-out.
+All three listeners run :func:`serve_connection`, answer errors from
+:func:`error_response`, and check methods against :data:`ROUTES`, so
+every hop speaks byte-identical HTTP and a framing or status fix lands
+everywhere at once.
 """
 
 from __future__ import annotations
@@ -265,8 +264,8 @@ async def fetch(
 ) -> tuple[int, bytes]:
     """One-shot async HTTP exchange; ``(status, body_bytes)``.
 
-    The control plane's transport: worker → manager forwarding, manager →
-    worker fan-out, and router → worker proxying all go through here.
+    The control plane's transport: worker → manager forwarding and
+    manager → worker fan-out both go through here.
     Connections are deliberately not reused — control traffic is rare and
     a fresh connection per exchange sidesteps stale-socket failure modes
     across process restarts.  Raises ``OSError`` / ``TimeoutError`` on

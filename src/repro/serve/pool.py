@@ -12,21 +12,13 @@ model store.
 :class:`WorkerPool` forks N worker processes (``spawn`` context — clean
 interpreters, no inherited locks), each running a full
 :class:`~repro.serve.server.InferenceServer` with its own registry,
-batchers, and executor threads.  Two distribution modes:
-
-* ``reuseport`` (default) — every worker binds the same public port with
-  ``SO_REUSEPORT``; the kernel spreads accepted connections across the
-  live listeners.  The pool holds a bound-but-never-listening placeholder
-  socket in the same reuseport group, which (a) resolves ``port=0`` once
-  so all workers agree, and (b) keeps the port reserved while workers
-  restart.  Zero-copy, no extra hop — but each model's micro-batcher runs
-  warm in *every* worker.
-* ``router`` — the pool process owns the public port and proxies each
-  request to a worker chosen by CRC32 of the ``(dataset, format)``
-  routing key, so each model's batcher stays hot in exactly one worker
-  (better coalescing when many models share few cores); any worker can
-  still serve any key (bits are worker-agnostic), so a dead target just
-  fails over to the next index.
+batchers, and executor threads.  Every worker binds the same public port
+with ``SO_REUSEPORT``, and the kernel spreads accepted connections across
+the live listeners: no proxy hop on the data path, and each model's
+micro-batcher runs warm in every worker that takes its traffic.  The pool
+holds a bound-but-never-listening placeholder socket in the same reuseport
+group, which (a) resolves ``port=0`` once so all workers agree, and (b)
+keeps the port reserved while workers restart.
 
 **The control plane.**  The pool binds a loopback *manager* port before
 spawning; workers forward control requests (``/swap``, ``/ab``,
@@ -39,9 +31,10 @@ windows (never averaged quantiles).  A worker that misses a fan-out (it
 was restarting) keeps an older generation *number* but serves
 bit-identical answers — both generations were rebuilt from the same store
 artifact — so divergence is impossible; the supervisor's next restart
-re-hydrates lazily from the store anyway.  The manager and router
-listeners run the same keep-alive loop, method checks and error statuses
-as every worker (:func:`~repro.serve.http.serve_connection`).
+re-hydrates lazily from the store anyway.  The manager also answers the
+pool-wide ``/health`` (``/health`` on the public port is one worker's
+own), and its listener runs the same keep-alive loop, method checks and
+error statuses as every worker (:func:`~repro.serve.http.serve_connection`).
 
 **Self-healing.**  A supervisor task restarts dead workers with the same
 jittered exponential backoff the analysis runner uses for crashed pool
@@ -51,9 +44,9 @@ drains and replaces workers one at a time so the pool never serves a
 request with zero live listeners.
 
 Fault points: ``pool.worker`` (worker lifecycle + every batch — see
-:mod:`repro.serve.batcher`) and ``pool.route`` (fired per fan-out /
-routing target in the pool process; ``raise``/``drop`` here simulate a
-torn control channel, which the broadcast's bounded retries must absorb).
+:mod:`repro.serve.batcher`) and ``pool.route`` (fired per fan-out target
+in the pool process; ``raise``/``drop`` here simulate a torn control
+channel, which the broadcast's bounded retries must absorb).
 """
 
 from __future__ import annotations
@@ -69,7 +62,6 @@ import signal
 import socket
 import sys
 import time
-import zlib
 from dataclasses import dataclass
 
 from .. import faults
@@ -96,14 +88,12 @@ __all__ = [
     "POINT_ROUTE",
 ]
 
-#: Fires in the pool process once per control fan-out target
-#: (``mode=broadcast``) and, in router mode, once per routed request
-#: (``mode=route``); context carries ``path`` and the target ``worker``.
-#: ``raise`` simulates a dropped control channel mid-``/swap`` — the
-#: bounded per-worker retries must still converge every registry.
+#: Fires in the pool process once per control fan-out attempt; context
+#: carries ``path`` and the target ``worker``.  ``raise`` simulates a
+#: dropped control channel mid-``/swap`` — the bounded per-worker retries
+#: must still converge every registry.
 POINT_ROUTE = faults.register_point(
-    "pool.route", "one control fan-out / request-routing hop in the pool "
-    "process"
+    "pool.route", "one control fan-out hop in the pool process"
 )
 
 #: The paths the manager answers itself: the control paths (fan-out or
@@ -136,17 +126,6 @@ def _resolve_loader(spec: str | None):
     return getattr(importlib.import_module(module_name), attr)
 
 
-def route_index(dataset: str, format_name: str, n_workers: int) -> int:
-    """Deterministic worker index for a ``(dataset, format)`` routing key.
-
-    CRC32, not ``hash()``: Python string hashing is salted per process,
-    and the router must pick the same worker across restarts so each
-    model's micro-batcher stays hot in one place.
-    """
-    key = f"{dataset}/{format_name}".encode("utf-8")
-    return zlib.crc32(key) % max(1, n_workers)
-
-
 # ----------------------------------------------------------------------
 # Worker process entry (module-level: must be picklable for spawn)
 # ----------------------------------------------------------------------
@@ -164,7 +143,6 @@ async def _worker_main(config: dict, conn) -> None:
         registry=registry,
         host=config["host"],
         port=config["port"],
-        reuse_port=config["reuse_port"],
         pool_manager_port=config["manager_port"],
         pool_worker_index=config["index"],
         **config["server_kwargs"],
@@ -246,7 +224,6 @@ class WorkerPool:
         host: str = "127.0.0.1",
         port: int = 8707,
         workers: int = 2,
-        mode: str = "reuseport",
         loader_spec: str | None = None,
         server_kwargs: dict | None = None,
         warmups: tuple = (),
@@ -259,19 +236,12 @@ class WorkerPool:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if mode not in ("reuseport", "router"):
-            raise ValueError("mode must be 'reuseport' or 'router'")
-        if mode == "reuseport" and not hasattr(socket, "SO_REUSEPORT"):
-            # Platforms without SO_REUSEPORT (or with it compiled out)
-            # fall back to the router automatically.
-            mode = "router"
         # A knob every worker would reject must fail here, once: otherwise
         # each worker dies at startup and the supervisor respawns it.
         check_knobs(server_kwargs or {})
         self.host = host
         self.port = port
         self.workers = int(workers)
-        self.mode = mode
         self.loader_spec = loader_spec
         self.server_kwargs = dict(server_kwargs or {})
         self.warmups = tuple(warmups)
@@ -286,7 +256,6 @@ class WorkerPool:
         self._workers: list[_Worker] = []
         self.manager_port: int | None = None
         self._manager_server: asyncio.base_events.Server | None = None
-        self._router_server: asyncio.base_events.Server | None = None
         self._placeholder: socket.socket | None = None
         self._supervisor: asyncio.Task | None = None
         self._stopping = False
@@ -294,8 +263,8 @@ class WorkerPool:
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
-        """Bind the control plane (and public port), spawn every worker,
-        and wait until all report ready."""
+        """Bind the control plane, reserve the public port, spawn every
+        worker, and wait until all report ready."""
         self._manager_server = await asyncio.start_server(
             functools.partial(
                 serve_connection, dispatch=self._control_dispatch
@@ -305,27 +274,14 @@ class WorkerPool:
         self.manager_port = (
             self._manager_server.sockets[0].getsockname()[1]
         )
-        if self.mode == "reuseport":
-            # The placeholder joins the reuseport group without ever
-            # listening: accepts only spread across *listening* sockets,
-            # so it serves no traffic — it resolves port=0 to one number
-            # all workers share and keeps the port ours between restarts.
-            self._placeholder = socket.socket(
-                socket.AF_INET, socket.SOCK_STREAM
-            )
-            self._placeholder.setsockopt(
-                socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
-            )
-            self._placeholder.bind((self.host, self.port))
-            self.port = self._placeholder.getsockname()[1]
-        else:
-            self._router_server = await asyncio.start_server(
-                functools.partial(
-                    serve_connection, dispatch=self._router_dispatch
-                ),
-                self.host, self.port,
-            )
-            self.port = self._router_server.sockets[0].getsockname()[1]
+        # The placeholder joins the reuseport group without ever
+        # listening: accepts only spread across *listening* sockets, so it
+        # serves no traffic — it resolves port=0 to one number all workers
+        # share and keeps the port ours between restarts.
+        self._placeholder = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._placeholder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+        self._placeholder.bind((self.host, self.port))
+        self.port = self._placeholder.getsockname()[1]
         self._workers = [_Worker(index=i) for i in range(self.workers)]
         # Sequential spawn: model hydration is disk/CPU-bound and spawn
         # is memory-spiky; one at a time keeps small hosts stable, and
@@ -352,10 +308,9 @@ class WorkerPool:
         for worker in self._workers:
             if worker.process is not None:
                 await self._join(worker, timeout_s=self.drain_grace_s + 10.0)
-        for server in (self._manager_server, self._router_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
+        if self._manager_server is not None:
+            self._manager_server.close()
+            await self._manager_server.wait_closed()
         if self._placeholder is not None:
             self._placeholder.close()
             self._placeholder = None
@@ -367,7 +322,7 @@ class WorkerPool:
         in-flight, exit 0), reap, respawn, wait ready, health-poll its
         admin listener.  Siblings keep serving throughout — under
         SO_REUSEPORT the kernel only assigns new connections to live
-        listeners, and the router fails over by index.
+        listeners.
         """
         events = []
         for worker in self._workers:
@@ -400,9 +355,8 @@ class WorkerPool:
     def _worker_config(self, index: int) -> dict:
         return {
             "index": index,
-            "host": self.host if self.mode == "reuseport" else "127.0.0.1",
-            "port": self.port if self.mode == "reuseport" else 0,
-            "reuse_port": self.mode == "reuseport",
+            "host": self.host,
+            "port": self.port,
             "manager_port": self.manager_port,
             "loader_spec": self.loader_spec,
             "server_kwargs": self.server_kwargs,
@@ -527,8 +481,7 @@ class WorkerPool:
         ]
 
     async def _call_worker(
-        self, worker: _Worker, method: str, path: str, body: bytes,
-        mode: str,
+        self, worker: _Worker, method: str, path: str, body: bytes
     ) -> tuple[int, bytes]:
         """One manager->worker exchange with bounded retries.
 
@@ -539,9 +492,7 @@ class WorkerPool:
         last_exc: Exception | None = None
         for attempt in range(1, _BROADCAST_ATTEMPTS + 1):
             try:
-                faults.fire(
-                    POINT_ROUTE, path=path, worker=worker.index, mode=mode,
-                )
+                faults.fire(POINT_ROUTE, path=path, worker=worker.index)
                 return await fetch(
                     "127.0.0.1", worker.admin_port, method, path, body,
                     timeout_s=60.0,
@@ -569,7 +520,7 @@ class WorkerPool:
         for worker in self._live_workers():
             try:
                 status, data = await self._call_worker(
-                    worker, method, path, body, mode="broadcast"
+                    worker, method, path, body
                 )
                 results.append((worker.index, status, data))
             except ConnectionError:
@@ -626,7 +577,7 @@ class WorkerPool:
         for worker in self._live_workers():
             try:
                 status, data = await self._call_worker(
-                    worker, method, path, body, mode="broadcast"
+                    worker, method, path, body
                 )
                 return status, data, "application/json"
             except ConnectionError:
@@ -680,29 +631,31 @@ class WorkerPool:
         return 200, text.encode("utf-8"), METRICS_CONTENT_TYPE
 
     async def _aggregate_health(self) -> dict:
-        """Pool health: every worker's view plus supervision state."""
-        workers = []
-        worst = "ok"
+        """Pool health: every worker's view plus supervision state.
+
+        The pool reports its worst slot on one scale, ``ok`` < ``degraded``
+        < ``draining`` < ``restarting``.  Any other slot status — a
+        ``dead`` slot the supervisor gave up on, an ``unreachable``
+        worker — ranks as ``degraded``: the pool still serves, at N−1.
+        """
         rank = {"ok": 0, "degraded": 1, "draining": 2, "restarting": 3}
+        workers, worst = [], "ok"
         for worker in self._workers:
             if not worker.alive or worker.admin_port is None:
-                entry = {"worker": worker.index, "status": "restarting"}
-                if worker.dead:
-                    entry["status"] = "dead"
-                    worst = "degraded"
-                workers.append(entry)
-                worst = max(worst, "restarting", key=lambda s: rank.get(s, 1))
-                continue
-            health = await self._worker_health(worker)
-            if health is None:
-                workers.append(
-                    {"worker": worker.index, "status": "unreachable"}
-                )
-                worst = "degraded"
-                continue
-            workers.append(health)
-            state = health.get("status", "degraded")
-            worst = max(worst, state, key=lambda s: rank.get(s, 1))
+                entry = {
+                    "worker": worker.index,
+                    "status": "dead" if worker.dead else "restarting",
+                }
+            else:
+                entry = await self._worker_health(worker)
+                if entry is None:
+                    entry = {"worker": worker.index, "status": "unreachable"}
+            workers.append(entry)
+            status = entry.get("status")
+            worst = max(
+                worst, status if status in rank else "degraded",
+                key=rank.__getitem__,
+            )
         return {
             "status": worst,
             "workers": workers,
@@ -724,64 +677,11 @@ class WorkerPool:
 
     def _pool_info(self) -> dict:
         return {
-            "mode": self.mode,
             "workers": self.workers,
             "alive": sum(1 for w in self._workers if w.alive),
             "restarts": sum(w.restarts for w in self._workers),
             "uptime_s": round(time.monotonic() - self._started_at, 3),
         }
-
-    # -- router mode ----------------------------------------------------
-    async def _router_dispatch(self, method: str, target: str, body: bytes):
-        path = target.partition("?")[0]
-        if path in _MANAGER_PATHS:
-            return await self._control_dispatch(method, target, body)
-        live = self._live_workers()
-        if not live:
-            raise HttpError(503, "no live workers")
-        # Route by (dataset, format) so each model's batcher stays hot in
-        # exactly one worker; requests without a key (e.g. /models, or a
-        # body that is not a JSON object) pin to the first worker, which
-        # answers any 400 with the real message.  Bits are worker-agnostic,
-        # so a dead target fails over to the next live index harmlessly.
-        start = 0
-        if path in ("/predict", "/warmup") and body:
-            try:
-                payload = json.loads(body)
-            except (ValueError, UnicodeDecodeError):
-                payload = None
-            if isinstance(payload, dict):
-                start = route_index(
-                    str(payload.get("dataset", "")),
-                    str(payload.get("format") or ""),
-                    len(self._workers),
-                )
-        indices = {w.index: w for w in live}
-        order = [
-            (start + offset) % len(self._workers)
-            for offset in range(len(self._workers))
-        ]
-        last_error: Exception | None = None
-        for index in order:
-            worker = indices.get(index)
-            if worker is None:
-                continue
-            try:
-                faults.fire(
-                    POINT_ROUTE, path=path, worker=index, mode="route",
-                )
-                status, data = await fetch(
-                    "127.0.0.1", worker.serve_port, method, target, body,
-                    timeout_s=120.0,
-                )
-                return status, data, "application/json"
-            except (OSError, asyncio.TimeoutError, RuntimeError) as exc:
-                last_error = exc
-                continue
-        raise HttpError(
-            502,
-            f"no worker reachable: {type(last_error).__name__}: {last_error}",
-        )
 
 
 # ----------------------------------------------------------------------
@@ -839,7 +739,7 @@ async def run_pool_forever(**pool_kwargs) -> None:
         pass
     print(
         f"repro.serve pool listening on http://{pool.host}:{pool.port} "
-        f"({pool.workers} workers, mode={pool.mode}, "
+        f"({pool.workers} workers, "
         f"control=127.0.0.1:{pool.manager_port}; SIGHUP = rolling restart)",
         flush=True,
     )

@@ -103,7 +103,6 @@ class InferenceServer:
         canary_every: int = 8,
         shed_threshold: float | None = None,
         rollback_after: int = 1,
-        reuse_port: bool = False,
         pool_manager_port: int | None = None,
         pool_worker_index: int | None = None,
     ):
@@ -143,9 +142,6 @@ class InferenceServer:
         self._closing = False
         self._started_at = time.monotonic()
         # -- pool-worker wiring (all inert in single-process mode) -------
-        # SO_REUSEPORT lets N worker processes bind the same public port;
-        # the kernel spreads accepts across them (see repro.serve.pool).
-        self.reuse_port = bool(reuse_port)
         # When pooled: the manager's loopback control port (forward
         # target) and this worker's index (observability).
         self.pool_manager_port = pool_manager_port
@@ -165,19 +161,21 @@ class InferenceServer:
         """Bind and start accepting connections (``port=0`` picks a free
         port; ``self.port`` is updated to the bound one).
 
-        With ``reuse_port`` the public socket binds ``SO_REUSEPORT`` so
-        sibling worker processes can share the port; a pooled worker
-        (``pool_manager_port`` set) additionally opens a loopback admin
-        listener on an ephemeral port — the manager's private address for
-        this worker, exempt from forwarding and from drain's
-        stop-accepting (the manager must still reach a draining worker).
+        A pooled worker (``pool_manager_port`` set) binds the public port
+        with ``SO_REUSEPORT``, so its siblings share it and the kernel
+        spreads accepts across them (see :mod:`repro.serve.pool`).  It
+        also opens a loopback admin listener on an ephemeral port — the
+        manager's private address for this worker, exempt from forwarding
+        and from drain's stop-accepting (the manager must still reach a
+        draining worker).
         """
+        pooled = self.pool_manager_port is not None
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,
-            reuse_port=self.reuse_port or None,
+            reuse_port=pooled or None,
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        if self.pool_manager_port is not None:
+        if pooled:
             self._admin_server = await asyncio.start_server(
                 functools.partial(self._handle_connection, local=True),
                 "127.0.0.1", 0,

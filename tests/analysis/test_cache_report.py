@@ -2,7 +2,6 @@
 
 import json
 import multiprocessing
-import os
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,6 @@ import pytest
 
 from repro.analysis import (
     ascii_bar,
-    cached_json,
     render_figure9,
     render_histogram,
     render_series,
@@ -20,44 +18,16 @@ from repro.analysis.histograms import Histogram
 
 
 class TestCache:
-    def test_compute_once(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return {"x": 1}
-
-        assert cached_json("thing", compute) == {"x": 1}
-        assert cached_json("thing", compute) == {"x": 1}
-        assert len(calls) == 1
-        assert (tmp_path / "thing.json").exists()
-
-    def test_disable_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return 7
-
-        assert cached_json("thing", compute) == 7
-        assert cached_json("thing", compute) == 7
-        assert len(calls) == 2
-
-    def test_corrupt_cache_recomputed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        (tmp_path / "bad.json").write_text("{not json")
-        assert cached_json("bad", lambda: [1, 2]) == [1, 2]
-
     def test_clear(self, tmp_path, monkeypatch):
-        from repro.analysis import clear_cache
+        from repro.analysis import artifact_store, clear_cache
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cached_json("a", lambda: 1)
+        store = artifact_store()
+        store.save_result("k", {"x": 1})
+        assert store.load_result("k") == {"x": 1}
         clear_cache()
-        assert not list(tmp_path.glob("*.json"))
+        assert store.load_result("k") is None
+        assert not (tmp_path / "store").exists()
 
 
 def _hammer_atomic_writes(path_str: str, writer: int, iterations: int) -> None:
@@ -67,15 +37,6 @@ def _hammer_atomic_writes(path_str: str, writer: int, iterations: int) -> None:
     payload = {"writer": writer, "blob": list(range(256))}
     for _ in range(iterations):
         atomic_write_json(Path(path_str), payload)
-
-
-def _racing_cached_json(cache_dir: str, writer: int) -> None:
-    """Worker: compute-and-store through ``cached_json`` on a cold cache."""
-    os.environ["REPRO_CACHE_DIR"] = cache_dir
-    from repro.analysis.cache import cached_json
-
-    value = cached_json("shared", lambda: {"writer": writer, "ok": True})
-    assert value["ok"] is True
 
 
 class TestConcurrentWriters:
@@ -100,21 +61,6 @@ class TestConcurrentWriters:
         assert value["writer"] in (0, 1)
         assert value["blob"] == list(range(256))
         assert not list(tmp_path.glob("*.tmp"))  # no temp litter either
-
-    def test_concurrent_cold_cached_json(self, tmp_path):
-        procs = [
-            multiprocessing.Process(
-                target=_racing_cached_json, args=(str(tmp_path), i)
-            )
-            for i in range(4)
-        ]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join(timeout=60)
-        assert all(p.exitcode == 0 for p in procs)
-        value = json.loads((tmp_path / "shared.json").read_text())
-        assert value["ok"] is True
 
     def test_unique_tmp_paths_never_collide(self, tmp_path):
         from repro.analysis.cache import unique_tmp

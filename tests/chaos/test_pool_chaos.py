@@ -110,7 +110,7 @@ def test_worker_killed_mid_batch_pool_recovers(monkeypatch, tmp_path):
     )
     monkeypatch.setenv(faults.ENV_TRACE, str(trace))
     handle = start_pool_in_thread(
-        port=0, workers=2, mode="reuseport",
+        port=0, workers=2,
         loader_spec="tests.serve.conftest:tiny_loader",
         server_kwargs={"max_delay_ms": 1.0},
         restart_backoff_s=0.1, seed=3,
@@ -164,7 +164,7 @@ def test_control_channel_drop_during_swap_converges(tmp_path):
     the swap still reports applied on *every* worker and later answers
     are bit-identical."""
     handle = start_pool_in_thread(
-        port=0, workers=2, mode="reuseport",
+        port=0, workers=2,
         loader_spec="tests.serve.conftest:tiny_loader",
         server_kwargs={"max_delay_ms": 1.0},
         restart_backoff_s=0.1, seed=5,

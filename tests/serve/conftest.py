@@ -53,7 +53,7 @@ def pool():
     from repro.serve import start_pool_in_thread
 
     handle = start_pool_in_thread(
-        port=0, workers=2, mode="reuseport",
+        port=0, workers=2,
         loader_spec="tests.serve.conftest:tiny_loader",
         server_kwargs={"max_delay_ms": 1.0},
         restart_backoff_s=0.1, seed=7,

@@ -24,8 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import start_pool_in_thread
-from repro.serve.pool import route_index
 from repro.serve.registry import build_served_model
 
 from .conftest import TOY_SPECS, tiny_loader
@@ -163,7 +161,6 @@ class TestControlPlane:
         assert [w["worker"] for w in workers] == [0, 1]
         # The pooled total is exactly the sum of the per-worker counts.
         assert sum(w["requests"] for w in workers) == after["requests"]
-        assert after["pool"]["mode"] == "reuseport"
         assert after["pool"]["alive"] == 2
 
     def test_metrics_aggregate_across_workers(self, pool):
@@ -186,6 +183,22 @@ class TestControlPlane:
         assert health["status"] == "ok"
         assert health["worker"] in (0, 1)
         assert health["draining"] is False
+
+    def test_manager_port_aggregates_control_plane(self, pool):
+        """The manager's loopback control port fans a control request out
+        to every worker itself, and its ``/health`` is the pool-wide
+        aggregate, not one worker's view."""
+        port = pool.pool.manager_port
+        status, body = _post(port, "/swap", {
+            "dataset": "toy", "format": "posit8_1",
+        })
+        assert status == 200
+        assert body["pool"]["applied"] == [0, 1]
+        status, health = _get(port, "/health")
+        assert status == 200
+        assert health["status"] == "ok"
+        assert [w["worker"] for w in health["workers"]] == [0, 1]
+        assert health["pool"]["alive"] == 2
 
 
 class TestDrainAndRestart:
@@ -264,65 +277,3 @@ class TestDrainAndRestart:
         assert set(pids_after).isdisjoint(pids_before)
         assert not errors, errors[:3]
         assert wrong == []
-
-
-class TestRouterMode:
-    @pytest.fixture(scope="class")
-    def router_pool(self):
-        handle = start_pool_in_thread(
-            port=0, workers=2, mode="router",
-            loader_spec="tests.serve.conftest:tiny_loader",
-            server_kwargs={"max_delay_ms": 1.0},
-            restart_backoff_s=0.1, seed=11,
-        )
-        yield handle
-        handle.stop()
-
-    def test_router_serves_bit_identical_and_routes_consistently(
-        self, router_pool, rng
-    ):
-        port = router_pool.pool.port
-        for dataset, format_name in MODEL_KEYS:
-            x = rng.normal(size=(3, _features(dataset)))
-            _, body = _predict(port, dataset, format_name, x)
-            assert body["predictions"] == (
-                direct_model(dataset, format_name).network.predict(x).tolist()
-            )
-        # Consistent routing: each key's requests all landed on the CRC32
-        # worker, so its micro-batcher stays hot in exactly one place.
-        _, stats = _get(port, "/stats")
-        per_worker = {w["worker"]: w["requests"] for w in stats["workers"]}
-        for dataset, format_name in MODEL_KEYS:
-            target = route_index(dataset, format_name, 2)
-            assert per_worker.get(target, 0) > 0
-        assert sum(per_worker.values()) == stats["requests"]
-
-    @pytest.mark.parametrize("path", ["/predict", "/warmup"])
-    @pytest.mark.parametrize("body", [b"[1]", b"null", b'"toy"'])
-    def test_router_answers_non_object_bodies_400(
-        self, router_pool, path, body
-    ):
-        """Valid JSON that is not an object is the client's 400, as on a
-        single server: the router forwards it unrouted."""
-        req = urllib.request.Request(
-            f"http://127.0.0.1:{router_pool.pool.port}{path}", data=body,
-            method="POST",
-        )
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(req, timeout=60)
-        assert err.value.code == 400
-        assert json.loads(err.value.read()) == {
-            "error": "body must be a JSON object"
-        }
-
-    def test_router_aggregates_control_plane(self, router_pool):
-        status, body = _post(router_pool.pool.port, "/swap", {
-            "dataset": "toy", "format": "posit8_1",
-        })
-        assert status == 200
-        assert body["pool"]["applied"] == [0, 1]
-        status, health = _get(router_pool.pool.port, "/health")
-        assert status == 200
-        # Router /health is the pool aggregate, not one worker's view.
-        assert health["status"] == "ok"
-        assert len(health["workers"]) == 2

@@ -7,6 +7,7 @@ it — the same embedding the example and the throughput benchmark use.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import multiprocessing
 import os
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -325,6 +327,50 @@ class TestConstruction:
         assert proc.returncode == 2, proc.stderr
         assert "error: max_delay_ms must be a finite number >= 0" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestPoolHealth:
+    """The pool manager's ``/health`` reports its worst worker slot, and a
+    slot the supervisor gave up on counts as ``degraded``, not as a
+    restart that never ends.  No process is spawned: the slots are fakes
+    and each live slot's own ``/health`` answer is stubbed."""
+
+    @pytest.mark.parametrize("slots, expected", [
+        (("dead", "dead"), "degraded"),
+        (("dead", "restarting"), "restarting"),
+        (("restarting", "dead"), "restarting"),
+        (("ok", "dead"), "degraded"),
+        (("draining", "dead"), "draining"),
+        (("restarting", "unreachable"), "restarting"),
+        (("unreachable", "ok"), "degraded"),
+        (("ok", "ok"), "ok"),
+    ], ids=lambda v: "+".join(v) if isinstance(v, tuple) else v)
+    def test_worst_slot_sets_pool_status(self, slots, expected):
+        from repro.serve.pool import WorkerPool, _Worker
+
+        pool = WorkerPool()
+        answers = {}
+        for index, state in enumerate(slots):
+            worker = _Worker(index=index, dead=state == "dead")
+            if state not in ("dead", "restarting"):
+                worker.process = SimpleNamespace(exitcode=None)  # alive
+                worker.admin_port = 1
+                answers[index] = (
+                    None if state == "unreachable"
+                    else {"worker": index, "status": state}
+                )
+            pool._workers.append(worker)
+
+        async def worker_health(worker):
+            return answers[worker.index]
+
+        pool._worker_health = worker_health
+        health = asyncio.run(pool._aggregate_health())
+        assert health["status"] == expected
+        assert [w["status"] for w in health["workers"]] == list(slots)
+        assert health["pool"]["alive"] == sum(
+            state not in ("dead", "restarting") for state in slots
+        )
 
 
 class TestConcurrentLoad:
