@@ -192,6 +192,23 @@ def _formats_explain(spec: str) -> str:
         )
     total = sum(row["table_bytes"] for row in report)
     lines.append(f"total compiled-table footprint: {total / 1024:.1f}KB")
+    if backend.limb_tables() is None:
+        lines.append("round tables: none (fixed point rounds arithmetically)")
+        return "\n".join(lines)
+    lines.append(
+        f"{'round table':<13}{'breakpoints':<13}{'m':<4}{'index':<10}bisected"
+    )
+    tables = [("input", formats.input_table(backend))] + [
+        (f"words/{mode}", formats.round_table(backend, mode))
+        for mode in formats.ROUNDING_MODES
+    ]
+    for label, table in tables:
+        row = table.describe()
+        m = "-" if row["m"] is None else row["m"]
+        lines.append(
+            f"{label:<13}{row['breakpoints']:<13}{m:<4}"
+            f"{row['index_bytes'] / 1024:>6.1f}KB  {row['bisected']}"
+        )
     return "\n".join(lines)
 
 

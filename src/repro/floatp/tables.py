@@ -16,7 +16,7 @@ import numpy as np
 from .codec import decode
 from .format import FloatFormat
 
-__all__ = ["FloatTables", "tables_for"]
+__all__ = ["FloatTables", "tables_for", "rounding_boundaries"]
 
 
 @dataclass(frozen=True)
@@ -105,6 +105,21 @@ def _sorted_value_table(fmt: FloatFormat):
     values = t.float_value[real]
     order = np.argsort(values, kind="stable")
     return values[order], patterns[order]
+
+
+def rounding_boundaries(fmt: FloatFormat) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`quantize_array`'s breakpoints as ``(values, strict)``.
+
+    One per pair of neighbouring values, at their midpoint: a tie rounds to
+    the even pattern, so the least value rounding up is the midpoint
+    itself, or the next float above it where the upper pattern is odd
+    (``strict``).  Plus ``+0.0``, where ``-0`` gives way to ``+0``.
+    """
+    values, patterns = _sorted_value_table(fmt)
+    distinct, first = np.unique(values, return_index=True)
+    mids = (distinct[:-1] + distinct[1:]) / 2  # exact: one bit more
+    strict = (patterns[first[1:]] & 1) == 1
+    return np.append(mids, 0.0), np.append(strict, False)
 
 
 def quantize_array(fmt: FloatFormat, values: np.ndarray) -> np.ndarray:

@@ -22,12 +22,7 @@ from .kernels import (
     check_patterns,
     clear_scratch,
 )
-from .network import (
-    NetworkKernel,
-    RoundTable,
-    operand_values,
-    round_table,
-)
+from .network import NetworkKernel, operand_values
 from .quire import (
     LIMB_BITS,
     ROUNDING_MODES,
@@ -39,6 +34,7 @@ from .quire import (
     round_kept_bits,
     words_as_quire,
 )
+from .rounding import RoundTable, input_table, round_table
 from .registry import (
     FormatFamily,
     available,
@@ -61,6 +57,7 @@ __all__ = [
     "NetworkKernel",
     "RoundTable",
     "round_table",
+    "input_table",
     "operand_values",
     "LIMB_BITS",
     "ROUNDING_MODES",

@@ -134,9 +134,40 @@ class NumericFormat(ABC):
 
         return self._memo("_rank_table", build)
 
-    @abstractmethod
     def quantize_batch(self, values: np.ndarray) -> np.ndarray:
-        """float64 array -> nearest patterns (uint32), bit-exact RNE."""
+        """float64 array -> nearest patterns (uint32), bit-exact RNE.
+
+        One gather and one compare per element through the memoized input
+        round table (:func:`~repro.formats.rounding.input_table`), which is
+        bit-identical to :meth:`quantize_reference`.  NaN and +-Inf raise
+        ``ValueError``.
+        """
+        from .rounding import input_table
+
+        return input_table(self).quantize(values)
+
+    @abstractmethod
+    def quantize_reference(self, values: np.ndarray) -> np.ndarray:
+        """The family's own vectorized quantizer: the oracle input round
+        tables are built against, and the reference tests pin them to."""
+
+    def round_boundaries(self, mode: str = "rne"):
+        """Closed-form breakpoints of this family's rounding, or ``None``.
+
+        ``(values, strict)``: float64 values and bool flags, one per change
+        of pattern.  The least input or quire word that takes the upper
+        pattern is the least one at or above its value (above it where
+        ``strict``).  The round tables (:mod:`repro.formats.rounding`)
+        confirm each seed with one oracle call on either side and bisect
+        only the gaps no seed resolves, so seeds only buy build time.  Truncation (``rtz``) changes pattern
+        exactly at the representable values in any family, so they seed it
+        here; ``rne`` needs the family's own rule.
+        """
+        if mode != "rtz":
+            return None
+        values = self.decode_batch(np.arange(1 << self.width, dtype=np.uint32))
+        values = values[np.isfinite(values)]
+        return values, values < 0
 
     @abstractmethod
     def decode_batch(self, patterns: np.ndarray) -> np.ndarray:
@@ -166,8 +197,8 @@ class NumericFormat(ABC):
 
         A plan proves, per weight matrix, when every possible quire fits
         one int64 (see :mod:`repro.formats.network`); such layers skip limb
-        normalization, and their round-once stage is a round table bisected
-        once against this method (:func:`~repro.formats.network.round_table`).
+        normalization, and their round-once stage is a round table proven
+        once against this method (:func:`~repro.formats.rounding.round_table`).
         The default routes through :meth:`encode_from_quire_batch`; table
         backends override it with a direct sign/magnitude encode.
         """

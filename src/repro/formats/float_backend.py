@@ -71,8 +71,13 @@ class FloatBackend(NumericFormat):
             bias_extra_shift=(1 - fmt.bias) - fmt.wf - 2 * fmt.min_scale,
         )
 
-    def quantize_batch(self, values: np.ndarray) -> np.ndarray:
+    def quantize_reference(self, values: np.ndarray) -> np.ndarray:
         return ft.quantize_array(self.fmt, values)
+
+    def round_boundaries(self, mode: str = "rne"):
+        if mode == "rne":
+            return ft.rounding_boundaries(self.fmt)
+        return super().round_boundaries(mode)
 
     def decode_batch(self, patterns: np.ndarray) -> np.ndarray:
         return ft.dequantize_array(self.fmt, patterns)

@@ -15,12 +15,13 @@ plan in which intermediate activations never materialize beyond their
 patterns (and usually not even as patterns — see *operand fusion* below):
 
 * **Round-table epilogue.** Every layer output is an exact quire, and
-  rounding is a monotone step function of it.  At compile time the step
-  function's breakpoints over the int64 window ``|word| <= 2**62`` are
-  found by binary search *against the backend's own encoder*
-  (:func:`round_table`), so the round-once stage becomes an O(1) bucket
-  lookup plus one table gather — bit-identical to
-  ``encode_from_quire_words`` by construction, for both rounding modes.
+  rounding is a monotone step function of it.  The backend's memoized
+  word :func:`~repro.formats.rounding.round_table` holds that function's
+  breakpoints over the int64 window ``|word| <= 2**62``, each seeded in
+  closed form and proven by one call of the backend's own encoder on
+  either side, so the round-once stage becomes an O(1) bucket lookup plus
+  one table gather — bit-identical to ``encode_from_quire_words``, for
+  both rounding modes.
 * **Operand fusion.** The gather does not produce patterns and stop: the
   slot table is pre-composed with this layer's pattern-space ReLU map and
   with whatever representation the *next* layer consumes (its exact
@@ -95,22 +96,10 @@ from .kernels import (
     check_format_patterns,
     check_patterns,
 )
-from .quire import (
-    LIMB_BITS,
-    arithmetic_shift_round,
-    bit_length_int64,
-    check_rounding_mode,
-)
+from .quire import LIMB_BITS, arithmetic_shift_round, check_rounding_mode
+from .rounding import round_table
 
-__all__ = [
-    "NetworkKernel",
-    "RoundTable",
-    "operand_values",
-    "round_table",
-]
-
-#: The round tables cover the single-word window ``|word| <= 2**62``.
-_WORD_CAP = np.int64(1) << 62
+__all__ = ["NetworkKernel", "operand_values"]
 
 #: Every sum of a plane GEMM stays an integer below ``2**_EXACT_BITS``,
 #: inside float64's exact-integer range (``2**53``).
@@ -122,14 +111,6 @@ _EXACT_BITS = 52
 _TABLE_BOUND = 2.0**61
 
 _LIMB_MASK = (1 << LIMB_BITS) - 1
-
-#: Mantissa-bit depth range of the round-table bucket grid: the smallest
-#: ``m`` whose buckets separate all boundaries wins.  Adjacent boundaries
-#: (format-value midpoints) differ relatively by >= ~2**-(fraction+2), so
-#: ``m`` lands near the format width; the cap bounds the dense tables at
-#: ``128 << m`` entries (~4 MiB) per backend and rounding mode.
-_ROUND_KEY_MIN_M = 4
-_ROUND_KEY_MAX_M = 18
 
 
 # ----------------------------------------------------------------------
@@ -353,159 +334,6 @@ class _PlaneWords:
         return self.w_t.nbytes + digits + limbs
 
 
-def _round_key(words: np.ndarray, m: int) -> np.ndarray:
-    """Monotone bucket key of int64 quire words, ``|word| <= 2**62``.
-
-    The word's float64 image (rounding to nearest is monotone, so order is
-    preserved) is bucketed by sign, exponent, and its top ``m`` mantissa
-    bits — a magnitude-logarithmic grid fine enough that consecutive round
-    boundaries land in distinct buckets (checked at build time).  Keys lie
-    in ``[0, 128 << m)``: exponents span only ``[2**0, 2**62]``, so 6 bits
-    of (offset) exponent plus the sign fold the whole window into a dense,
-    cache-resident table index.
-    """
-    f = words.astype(np.float64)
-    expman = (f.view(np.uint64) >> np.uint64(52 - m)).astype(np.int64)
-    mag = (expman & ((1 << (11 + m)) - 1)) - (1022 << m)
-    # In place, and not np.clip, which costs ~3x as much on small arrays.
-    np.minimum(np.maximum(mag, 0, out=mag), (64 << m) - 1, out=mag)
-    center = 64 << m
-    return np.where(words >= 0, center + mag, center - 1 - mag)
-
-
-class RoundTable:
-    """The round-once output stage as an O(1) indexed lookup on int64 words.
-
-    ``slot_patterns[self.indices(word)]`` equals
-    ``encode_from_quire_words(word, mode=mode)`` for every
-    ``|word| <= 2**62`` — the window in which the plans round by table.
-    ``boundaries`` are the breakpoints of the (monotone) word -> pattern
-    step function, found by vectorized binary search with the backend's own
-    batched encoder as the oracle, so agreement is by construction rather
-    than by re-deriving each family's rounding rules.
-
-    ``indices`` avoids a per-word binary search: the :func:`_round_key`
-    grid is built (at the smallest mantissa depth ``m``) such that every
-    bucket contains at most one boundary, so the slot index is one dense
-    ``base`` gather plus one compare against the bucket's ``bnd`` entry
-    (``INT64_MAX`` where the bucket has none) —
-    ``base[k] + (word >= bnd[k])``.  Should no ``m`` up to
-    ``_ROUND_KEY_MAX_M`` separate the boundaries (never for the built-in
-    families), lookups fall back to ``searchsorted``, bit-identically.
-    """
-
-    __slots__ = ("boundaries", "slot_patterns", "_m", "_base", "_bnd")
-
-    def __init__(self, boundaries: np.ndarray, slot_patterns: np.ndarray):
-        self.boundaries = boundaries
-        self.slot_patterns = slot_patterns
-        self._m = None
-        for m in range(_ROUND_KEY_MIN_M, _ROUND_KEY_MAX_M + 1):
-            keys = _round_key(boundaries, m)
-            if keys.size == np.unique(keys).size:
-                counts = np.bincount(keys, minlength=128 << m)
-                self._base = np.concatenate(
-                    [[0], np.cumsum(counts)[:-1]]
-                ).astype(np.int64)
-                self._bnd = np.full(
-                    128 << m, np.iinfo(np.int64).max, dtype=np.int64
-                )
-                self._bnd[keys] = boundaries
-                self._m = m
-                break
-
-    def indices(self, words: np.ndarray) -> np.ndarray:
-        """Slot index per word: ``#{boundaries <= word}``, flattened."""
-        w = words.ravel()
-        if self._m is None:
-            return np.searchsorted(self.boundaries, w, side="right")
-        # A boundary in a *lower* bucket is < word, in a *higher* bucket
-        # > word (the key is monotone), so ``base`` counts every crossed
-        # boundary except the bucket's own, resolved by one compare.
-        k = _round_key(w, self._m)
-        idx = self._base[k]
-        idx += w >= self._bnd[k]
-        return idx
-
-    def lookup(self, words: np.ndarray) -> np.ndarray:
-        """Round a tensor of int64 quire words to int64 patterns."""
-        return self.slot_patterns[self.indices(words)].reshape(words.shape)
-
-
-def _midpoint(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    # floor((lo + hi) / 2) without int64 overflow (lo, hi span +-2**62).
-    return (lo >> 1) + (hi >> 1) + ((lo & 1) & (hi & 1))
-
-
-def round_table(backend: NumericFormat, mode: str = "rne") -> RoundTable:
-    """The backend's memoized :class:`RoundTable` for ``mode``."""
-    check_rounding_mode(mode)
-
-    def build():
-        t = backend.limb_tables()
-        if t is None:
-            raise TypeError(f"{backend.name} has no limb decode tables")
-
-        def enc(words):
-            return backend.encode_from_quire_words(
-                np.asarray(words, dtype=np.int64), mode=mode
-            ).astype(np.int64)
-
-        # Anchors: every valid pattern's exact value in quire-LSB units
-        # that fits int64, plus the +-2**62 window endpoints.  Values that
-        # overflow int64 are necessarily beyond the window; rounding can
-        # still *produce* their patterns near the window edge, which the
-        # edge gaps' breakpoints capture.
-        valid = ~t.invalid
-        sig = t.signed_sig[valid]
-        sh = (t.shift + t.bias_extra_shift)[valid]
-        ok = (sig == 0) | (bit_length_int64(np.abs(sig)) + sh <= 62)
-        words = sig[ok] << sh[ok]
-        # -1 is anchored besides the representable values and the window
-        # endpoints: formats with signed zero encode negative underflow to
-        # -0 and word 0 to +0 — same value, distinct patterns — so the
-        # sign flip at zero is a breakpoint between *equal* anchor values
-        # that needs its own gap.
-        anchors = np.unique(
-            np.concatenate(
-                [words, [-_WORD_CAP, -1, _WORD_CAP]]
-            ).astype(np.int64)
-        )
-
-        # Between consecutive anchors the step function changes at most
-        # once (only the two nearest representable values compete), so one
-        # binary search per gap finds every breakpoint.
-        lo, hi = anchors[:-1].copy(), anchors[1:].copy()
-        p_anchor = enc(anchors)
-        plo, phi = p_anchor[:-1], p_anchor[1:]
-        active = plo != phi
-        lo[~active] = hi[~active]
-        while np.any(hi - lo > 1):
-            mid = _midpoint(lo, hi)
-            stay_low = enc(mid) == plo
-            lo = np.where(stay_low, mid, lo)
-            hi = np.where(stay_low, hi, mid)
-        # hi[g] is the minimal word of gap g's upper slot.
-        boundaries = hi[active]
-        slot_patterns = np.concatenate([p_anchor[:1], phi[active]])
-        table = RoundTable(boundaries, slot_patterns)
-        # Self-check the one-breakpoint-per-gap premise at every edge the
-        # construction produced (a family whose encoder switches patterns
-        # twice between adjacent anchors would silently misround a band).
-        probe = np.unique(
-            np.concatenate([anchors, boundaries, boundaries - 1])
-        )
-        if not np.array_equal(table.lookup(probe), enc(probe)):
-            raise AssertionError(
-                f"round table for {backend.name}/{mode} disagrees with "
-                "encode_from_quire_words; the format's rounding is not "
-                "one-breakpoint-per-anchor-gap"
-            )
-        return table
-
-    return backend._memo(f"_round_table_{mode}", build)
-
-
 # ----------------------------------------------------------------------
 # Per-layer steps
 # ----------------------------------------------------------------------
@@ -562,7 +390,9 @@ class _TableStep:
         idx = self.rt.indices(words)
         by_slot, by_pattern = self.rank_tables if readout else self.out_tables
         out = scratch.get(words.shape, by_slot.dtype, tag + "o")
-        np.take(by_slot, idx, out=out.ravel())
+        # Clipped: a far quire's modular word may index past the last
+        # slot; its entry is replaced below.
+        np.take(by_slot, idx, out=out.ravel(), mode="clip")
         if far is not None:
             flat, limbs = far
             patterns = self.backend.encode_from_quire_batch(limbs, mode=self.mode)

@@ -78,8 +78,13 @@ class PositBackend(NumericFormat):
             bias_extra_shift=fmt.max_fraction_bits - fmt.min_scale,
         )
 
-    def quantize_batch(self, values: np.ndarray) -> np.ndarray:
+    def quantize_reference(self, values: np.ndarray) -> np.ndarray:
         return pt.quantize_array(self.fmt, values)
+
+    def round_boundaries(self, mode: str = "rne"):
+        if mode == "rne":
+            return pt.rounding_boundaries(self.fmt)
+        return super().round_boundaries(mode)
 
     def decode_batch(self, patterns: np.ndarray) -> np.ndarray:
         return pt.dequantize_array(self.fmt, patterns)

@@ -59,12 +59,10 @@ def quantize_nearest(fmt, values: np.ndarray) -> np.ndarray:
 
     Bit-identical to the scalar encoders of every registered format family
     (floats use IEEE-style RNE, posits the paper's Algorithm-2 pattern-space
-    rounding, fixed point RNE on the raw grid).
+    rounding, fixed point RNE on the raw grid).  Non-finite values raise
+    ``ValueError``.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("cannot quantize non-finite values")
-    return formats.backend_for(fmt).quantize_batch(arr)
+    return formats.backend_for(fmt).quantize_batch(values)
 
 
 def quantization_mse(fmt, values: np.ndarray) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 from .decode import decode
 from .format import PositFormat
 
-__all__ = ["PositTables", "tables_for", "MAX_TABLE_BITS"]
+__all__ = ["PositTables", "tables_for", "MAX_TABLE_BITS", "rounding_boundaries"]
 
 #: Largest n for which full decode tables are built (2**16 entries).
 MAX_TABLE_BITS = 16
@@ -162,13 +162,31 @@ def _boundary_table(fmt: PositFormat):
     return patterns, boundaries, boundary_to_lower, saturation
 
 
+def rounding_boundaries(fmt: PositFormat) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`quantize_array`'s breakpoints as ``(values, strict)``.
+
+    Breakpoint ``i`` separates the ``i``-th and ``(i+1)``-th patterns in
+    value order: the least value rounding up is ``values[i]`` itself, or
+    the next float above it where ``strict[i]`` (a tie there rounds down).
+    These are :func:`_boundary_table`'s boundaries and tie directions,
+    except around zero: rounding never reaches zero from a nonzero value,
+    so zero's slot starts at ``-0.0`` and minpos's just above ``+0.0``.
+    """
+    patterns, boundaries, to_lower, _ = _boundary_table(fmt)
+    values, strict = boundaries.copy(), to_lower.copy()
+    z = int(np.flatnonzero(patterns == fmt.zero_pattern)[0])
+    values[z - 1:z + 1] = (-0.0, 0.0)
+    strict[z - 1:z + 1] = (False, True)
+    return values, strict
+
+
 def quantize_array(fmt: PositFormat, values: np.ndarray) -> np.ndarray:
     """Round a float array to posit patterns (uint32), vectorized.
 
     Bit-identical to the scalar RNE encoder (Algorithm 2's pattern-space
     rounding, via :func:`_boundary_table`).  Non-finite inputs raise;
-    sanitize upstream.  This is the reference quantizer used to convert
-    trained float32 parameters into Deep Positron weight memories.
+    sanitize upstream.  The posit backend's ``quantize_batch`` looks inputs
+    up in a round table built and tested against this reference.
     """
     arr = np.asarray(values, dtype=np.float64)
     flat = arr.ravel()

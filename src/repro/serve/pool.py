@@ -105,6 +105,10 @@ _MANAGER_PATHS = CONTROL_PATHS | {"/health"}
 #: the store, and rollback fan-out is idempotent).
 _BROADCAST_ATTEMPTS = 3
 
+#: A worker that misses its ready deadline gets this long to exit on
+#: SIGTERM before it is killed.
+_STARTUP_STOP_GRACE_S = 1.0
+
 #: A worker alive this long has its restart-backoff attempt counter
 #: reset — only *crash loops* escalate the backoff, not occasional
 #: faults hours apart.
@@ -389,6 +393,12 @@ class WorkerPool:
             try:
                 ready = await self._wait_ready(parent_conn, process)
             except (RuntimeError, TimeoutError) as exc:
+                if process.exitcode is None:
+                    # A worker that missed its deadline may already hold
+                    # the shared port: stop it before a retry or giving
+                    # up, and before its ready pipe closes under it.
+                    process.terminate()
+                    await self._join(worker, timeout_s=_STARTUP_STOP_GRACE_S)
                 parent_conn.close()
                 if worker.attempts > self.max_restarts:
                     worker.dead = True

@@ -29,7 +29,8 @@ from repro.core import engine_for
 from repro.core.positron import PositronNetwork
 from repro.fixedpoint import fixed_format
 from repro.floatp import float_format
-from repro.formats.network import NetworkKernel, operand_values, round_table
+from repro.formats.network import NetworkKernel, operand_values
+from repro.formats.rounding import round_table
 from repro.posit.format import standard_format
 
 #: posit<6,2>'s wide range (34-bit operand values) makes random weights
@@ -179,7 +180,7 @@ class TestRoundTable:
         cap = np.int64(1) << 62
         for mode in formats.ROUNDING_MODES:
             rt = round_table(backend, mode)
-            assert rt._m is not None  # built-ins always get the fast grid
+            assert rt.m is not None  # built-ins always get the fast grid
             words = np.concatenate(
                 [
                     rng.integers(-cap, cap, size=50_000, dtype=np.int64),
@@ -379,13 +380,39 @@ class TestPlanCompile:
 
     def test_cli_explain_prints_planes_and_width(self):
         """``python -m repro formats --explain`` shows activation x weight
-        planes and whether each layer is wide."""
+        planes and whether each layer is wide, then the format's input and
+        word round tables: breakpoints, bucket depth, index bytes and
+        bisected gaps."""
         from repro.__main__ import _formats_explain
 
         lines = _formats_explain("iris:posit8_2").splitlines()
         assert "planes" in lines[1] and "wide" in lines[1]
         for line in lines[2:5]:
             assert line.split()[3:6:2] == ["3x1", "yes"]
+        assert lines[5].startswith("total compiled-table footprint")
+        assert lines[6].split() == [
+            "round", "table", "breakpoints", "m", "index", "bisected"
+        ]
+        backend = formats.get("posit8_2")
+        tables = {
+            "input": formats.input_table(backend),
+            "words/rne": round_table(backend, "rne"),
+            "words/rtz": round_table(backend, "rtz"),
+        }
+        assert [line.split()[0] for line in lines[7:]] == list(tables)
+        for line in lines[7:]:
+            label, count, m, index, bisected = line.split()
+            row = tables[label].describe()
+            assert int(count) == row["breakpoints"]
+            assert int(m) == row["m"]
+            assert index == f"{row['index_bytes'] / 1024:.1f}KB"
+            assert int(bisected) == row["bisected"] == 0
+
+    def test_cli_explain_fixed_point_has_no_round_tables(self):
+        from repro.__main__ import _formats_explain
+
+        lines = _formats_explain("iris:fixed8_4").splitlines()
+        assert lines[-1].startswith("round tables: none")
 
     def test_empty_layer_stack_rejected(self, any_fmt):
         backend = formats.backend_for(any_fmt)

@@ -9,6 +9,7 @@ wrapped in the same ``TrainedModel``-shaped interface (``.model``,
 
 from __future__ import annotations
 
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,6 +35,12 @@ def tiny_loader(dataset: str):
         dataset=SimpleNamespace(class_names=class_names),
         float32_accuracy=0.9,
     )
+
+
+def slow_loader(dataset: str):
+    """:func:`tiny_loader` after a pause far past any test's ready deadline."""
+    time.sleep(5.0)
+    return tiny_loader(dataset)
 
 
 @pytest.fixture

@@ -10,7 +10,9 @@ passes, just without real parallelism).
 
 from __future__ import annotations
 
+import asyncio
 import json
+import multiprocessing
 import os
 import signal
 import threading
@@ -277,3 +279,36 @@ class TestDrainAndRestart:
         assert set(pids_after).isdisjoint(pids_before)
         assert not errors, errors[:3]
         assert wrong == []
+
+
+class TestStartupTimeout:
+    def test_worker_past_its_ready_deadline_is_stopped(self, capfd):
+        """A worker that misses ``ready_timeout_s`` is stopped before the
+        retry and before ``start()`` gives up: none outlives ``start()``
+        (it may already hold the shared port), and none dies later on its
+        closed ready pipe."""
+        from repro.serve.pool import WorkerPool
+
+        pool = WorkerPool(
+            port=0, workers=1,
+            loader_spec="tests.serve.conftest:slow_loader",
+            warmups=(("toy", "posit8_1"),),
+            ready_timeout_s=0.2, max_restarts=1, restart_backoff_s=0.01,
+            seed=3,
+        )
+
+        others = set(multiprocessing.active_children())  # e.g. `pool`'s
+
+        async def start_then_list_workers():
+            try:
+                with pytest.raises(RuntimeError, match="after 2 attempts"):
+                    await pool.start()
+                return [
+                    p.name for p in multiprocessing.active_children()
+                    if p not in others
+                ]
+            finally:
+                await pool.stop()
+
+        assert asyncio.run(start_then_list_workers()) == []
+        assert "BrokenPipeError" not in capfd.readouterr().err
