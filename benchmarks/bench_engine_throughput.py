@@ -1,21 +1,23 @@
-"""Microbenchmarks — exact-MAC throughput of the engines and scalar cores.
+"""Microbenchmarks — exact-MAC throughput of the engine and scalar cores.
 
 Not a paper figure; documents the cost of bit-exact emulation and the
-speedup of the limb-vectorized engine over the scalar soft-core models
-(what makes the Table II sweeps tractable).
+speedup of the vectorized engine over the scalar soft-core models (what
+makes the Table II sweeps tractable).
 
 The ``network-inference`` group measures a full mushroom-sized posit8
-network forward on the retained PR 1 engine path (``dot_reference``); the
-``network-fused`` group measures the same forward through the fused
-whole-network plan (``PositronNetwork.network_kernel()``), the one
-production path, asserting bit-identity to ``dot_reference`` and the
-scalar EMAC oracle in-run.  ``check_engine_regression.py`` guards CI
-against the fused-over-PR 1 speedup, measured in one run, regressing
-versus its floor and the committed ``engine_baseline.json`` entry.
+network forward on the PR 1 engine path (``dot_reference`` in
+``pr1_reference.py``); the ``network-fused`` group measures the same
+forward through the fused whole-network plan
+(``PositronNetwork.network_kernel()``), the one production path, asserting
+bit-identity to ``dot_reference`` and the scalar EMAC oracle in-run.
+``check_engine_regression.py`` guards CI against the fused-over-PR 1
+speedup, measured in one run, regressing versus its floor and the
+committed ``engine_baseline.json`` entry.
 """
 
 import numpy as np
 import pytest
+from pr1_reference import reference_for
 
 from repro import formats
 from repro.core import PositronNetwork
@@ -45,7 +47,7 @@ def _layer_patterns(backend, rng, batch=64, fan_in=64, fan_out=16):
 def test_vector_engine_throughput(benchmark, name):
     """Exact MACs/second of the vectorized engine (64x64 -> 16 layer)."""
     backend = formats.get(name)
-    engine = backend.make_engine()
+    engine = backend.engine()
     rng = np.random.default_rng(1)
     W, X = _layer_patterns(backend, rng)
     result = benchmark(engine.dot, W, X)
@@ -100,9 +102,10 @@ def posit8_network():
 
 def _pr1_forward(net, X):
     """The PR 1 engine path: per-layer dot_reference + relu."""
+    reference = reference_for(net.engine.backend)
     out = X
     for layer in net.layers:
-        out = net.engine.dot_reference(layer.weights, out, layer.bias)
+        out = reference.dot_reference(layer.weights, out, layer.bias)
         if layer.activation == "relu":
             out = net.engine.relu(out)
     return out
@@ -137,7 +140,7 @@ def test_network_inference_fused(benchmark, posit8_network):
 
 @pytest.mark.benchmark(group="network-inference")
 def test_network_inference_pr1_baseline(benchmark, posit8_network):
-    """The same forward on the retained PR 1 engine path (the baseline the
+    """The same forward on the PR 1 engine path (the baseline the
     regression guard compares the fused plan against)."""
     net, X = posit8_network
     result = benchmark(_pr1_forward, net, X)

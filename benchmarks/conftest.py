@@ -41,12 +41,13 @@ def roundoff_baseline():
 @pytest.fixture(scope="session")
 def quire_roundoff_case():
     """(backend, limb tensor) of one bench-sized posit8 layer's quires."""
+    from pr1_reference import reference_for
+
     from repro import formats
 
     backend = formats.get("posit8_1")
-    engine = backend.make_engine()
     rng = np.random.default_rng(7)
-    num_limbs = engine.num_limbs
+    num_limbs = reference_for(backend).num_limbs
     limbs = rng.integers(-(1 << 36), 1 << 36, size=(64, 16, num_limbs), dtype=np.int64)
     limbs[..., -1] = 0  # sign-extension headroom, as the engine guarantees
     limbs[rng.random(size=(64, 16)) < 0.2, 1:] = 0  # some small quires

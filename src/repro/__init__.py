@@ -22,8 +22,9 @@ Subpackages
     Virtex-7-class structural synthesis model: LUTs, Fmax, power, EDP.
 ``repro.formats``
     The unified number-system backend registry: one ``NumericFormat`` per
-    system (decode tables, batched quantize/round-off, engine and EMAC
-    factories), addressed by name (``formats.get("posit8_1")``).
+    system (decode tables, batched quantize/round-off, compiled network
+    plans, the scalar EMAC factory), addressed by name
+    (``formats.get("posit8_1")``).
 ``repro.analysis``
     Experiment drivers reproducing every table and figure.
 """

@@ -203,12 +203,12 @@ def evaluate_configs_batch(
 
     The parent parameters are exported once and each config's quantized
     network runs the full test set in a single compiled-kernel forward —
-    backends, decode/digit tables, and engines are memoized per format key
-    in the registry, so repeated sweeps (and the parallel runner's pool
-    workers) stop rebuilding them per config.  Classification argmaxes the
-    readout *patterns* through the format's monotone rank table, skipping
-    the float64 decode of every readout row; results are bit-identical to
-    evaluating configs one at a time with decoded argmax.
+    backends, decode/operand/round tables, and engines are memoized per
+    format key in the registry, so repeated sweeps (and the parallel
+    runner's pool workers) stop rebuilding them per config.  Classification
+    argmaxes the readout *patterns* through the format's monotone rank
+    table, skipping the float64 decode of every readout row; results are
+    bit-identical to evaluating configs one at a time with decoded argmax.
     """
     weights, biases = tm.model.export_params()
     test_x = np.asarray(tm.dataset.test_x, dtype=np.float64)

@@ -6,18 +6,12 @@ bit-identical engine for dataset-scale runs, and the Deep Positron network
 (per-neuron EMACs, local parameter memories, streaming control FSM timing).
 """
 
-from .accumulator import ExactAccumulator, LIMB_BITS, combine_limbs, limbs_needed
+from .accumulator import ExactAccumulator, LIMB_BITS, combine_limbs
 from .emac_base import Emac
 from .emac_fixed import FixedEmac
 from .emac_float import FloatEmac
 from .emac_posit import PositEmac
-from .vector import (
-    FixedVectorEngine,
-    FloatVectorEngine,
-    PositVectorEngine,
-    VectorEngine,
-    engine_for,
-)
+from .vector import VectorEngine, engine_for
 from .control import InferenceTiming, layer_cycles, network_timing
 from .memory import BRAM_KBITS, LayerMemory
 from .positron import PositronLayer, PositronNetwork, scalar_emac_for
@@ -26,15 +20,11 @@ __all__ = [
     "ExactAccumulator",
     "LIMB_BITS",
     "combine_limbs",
-    "limbs_needed",
     "Emac",
     "FixedEmac",
     "FloatEmac",
     "PositEmac",
     "VectorEngine",
-    "FixedVectorEngine",
-    "FloatVectorEngine",
-    "PositVectorEngine",
     "engine_for",
     "InferenceTiming",
     "layer_cycles",

@@ -6,9 +6,10 @@ are used:
 
 * scalar: :class:`ExactAccumulator`, a Python big integer with a fixed
   binary point — arbitrarily wide, used by the reference EMAC models;
-* vector: base-``2**LIMB_BITS`` limbs held in numpy int64 arrays, used by
-  the vectorized engine (:mod:`repro.core.vector`).  Terms are bounded so
-  that per-limb partial sums stay exactly representable, and
+* vector: base-``2**LIMB_BITS`` limbs held in numpy int64 arrays, which
+  the compiled plans hand to the batched round-once stage for quires too
+  wide for one int64 word (:mod:`repro.formats.network`).  Terms are
+  bounded so that per-limb partial sums stay exactly representable, and
   :func:`combine_limbs` reconstitutes the exact Python integer.
 """
 
@@ -25,7 +26,6 @@ __all__ = [
     "ExactAccumulator",
     "combine_limbs",
     "combine_limb_matrix",
-    "limbs_needed",
 ]
 
 
@@ -86,15 +86,6 @@ class ExactAccumulator:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ExactAccumulator(lsb=2**{self.lsb_exponent}, raw={self._acc})"
-
-
-def limbs_needed(max_shift: int, term_bits: int) -> int:
-    """Number of limbs covering terms of ``term_bits`` bits shifted by up to
-    ``max_shift`` positions (plus one limb of carry headroom)."""
-    if max_shift < 0:
-        raise ValueError("max_shift must be >= 0")
-    top_bit = max_shift + term_bits
-    return top_bit // LIMB_BITS + 2
 
 
 def combine_limbs(limbs: np.ndarray) -> int:

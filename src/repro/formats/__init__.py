@@ -2,27 +2,27 @@
 
 One :class:`NumericFormat` backend per number system (posit, small float,
 fixed point), each bundling decode tables, bit-exact batched quantization,
-the fully vectorized quire round-off stage, and engine/EMAC factories —
+the fully vectorized quire round-off stage, and the scalar EMAC factory —
 plus a name-based registry so formats are addressed as ``posit8_1`` or
 ``posit<8,1>`` everywhere (CLI, sweeps, quantizers) instead of via
 ``isinstance`` chains.
 
     >>> from repro import formats
     >>> backend = formats.get("posit8_1")
-    >>> engine = backend.make_engine()
+    >>> engine = backend.engine()
 
 Registering a new family (see :class:`~repro.formats.registry.FormatFamily`)
-plugs it into the vector engines, scalar EMACs, quantizers, accuracy sweeps,
+plugs it into the vector engine, scalar EMACs, quantizers, accuracy sweeps,
 and the CLI with no further code changes.
 """
 
 from .base import LimbTables, NumericFormat
-from .kernels import (
+from .network import (
+    NetworkKernel,
     check_format_patterns,
     check_patterns,
-    clear_scratch,
+    operand_values,
 )
-from .network import NetworkKernel, operand_values
 from .quire import (
     LIMB_BITS,
     ROUNDING_MODES,
@@ -53,7 +53,6 @@ __all__ = [
     "LimbTables",
     "check_patterns",
     "check_format_patterns",
-    "clear_scratch",
     "NetworkKernel",
     "RoundTable",
     "round_table",

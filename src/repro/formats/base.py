@@ -5,15 +5,16 @@ Every number system the EMAC architecture supports is wrapped in one
 everything the rest of the library needs:
 
 * **metadata** — family string, canonical registry name, label, width;
-* **decode tables** (:class:`LimbTables`) feeding the compiled plans and
-  the limb-accumulating reference, or ``None`` for fixed point, whose
-  plans run the same exact float64 GEMMs over its signed integers;
+* **decode tables** (:class:`LimbTables`) feeding the compiled plans, or
+  ``None`` for fixed point, whose plans run the same exact float64 GEMMs
+  over its signed integers;
 * **batched kernels** — ``quantize_batch`` / ``decode_batch`` /
   ``relu_batch`` and the fully vectorized ``encode_from_quire_batch``
   round-once output stage;
-* **factories** for the vectorized engine and the scalar reference EMAC
-  (imported lazily so ``repro.formats`` never depends on ``repro.core`` at
-  import time);
+* **the scalar reference EMAC factory** ``make_scalar_emac``, and the
+  shared vectorized engine ``engine()`` that delegates to this backend
+  (both imported lazily so ``repro.formats`` never depends on
+  ``repro.core`` at import time);
 * **scalar reference hooks** (``encode_from_quire_scalar``,
   ``truncate_scalar``) used by property tests, microbenchmark baselines,
   and the rounding-mode ablations.
@@ -49,8 +50,6 @@ class LimbTables:
     shift: np.ndarray  # int64, >= 0
     invalid: np.ndarray  # bool: patterns the datapath must never see
     relu: np.ndarray  # int64 pattern map
-    max_shift: int  # largest shift_w + shift_a (sizes reference limbs)
-    sig_bits: int  # aligned significand width (sizes reference limbs)
     bias_extra_shift: int  # aligns a single input (not product) to the quire
 
 
@@ -95,7 +94,7 @@ class NumericFormat(ABC):
 
     # -- vectorized kernels ---------------------------------------------
     def limb_tables(self) -> LimbTables | None:
-        """Decode tables for the limb engine; ``None`` if not table-driven."""
+        """Decode tables for the compiled plans; ``None`` if not table-driven."""
         return None
 
     def compile_network(self, layers, *, rounding_mode="rne"):
@@ -220,18 +219,15 @@ class NumericFormat(ABC):
 
     # -- factories (lazy core imports; formats must not import core) ----
     def engine(self):
-        """The shared memoized engine for this format.
+        """The shared memoized :class:`~repro.core.vector.VectorEngine`.
 
-        Engines are read-only once built (tables plus pure functions), so
-        one instance per backend serves every consumer in a process —
-        sweeps and pool workers stop rebuilding decode/digit tables per
-        candidate config.  Use :meth:`make_engine` for a private instance.
+        The engine only delegates to this backend's batch methods and
+        compiled plans, so one instance per backend serves every consumer
+        in a process.
         """
-        return self._memo("_engine", self.make_engine)
+        from ..core.vector import VectorEngine
 
-    @abstractmethod
-    def make_engine(self):
-        """Vectorized EMAC engine for this format."""
+        return self._memo("_engine", lambda: VectorEngine(self))
 
     @abstractmethod
     def make_scalar_emac(self):

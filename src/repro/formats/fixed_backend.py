@@ -3,7 +3,8 @@
 Fixed point needs no decode tables (patterns *are* scaled integers), so
 ``limb_tables`` returns ``None`` and every plan layer computes exact
 float64 digit-plane GEMMs over the signed integers (``_FixedStep`` in
-:mod:`repro.formats.network`).
+:mod:`repro.formats.network`).  Plans support ``n <= 16``; compiling one
+for a wider format raises ``ValueError``.
 ``encode_from_quire_batch`` is still provided — it applies the paper's
 Fig. 3 output stage (shift right by ``q`` with floor, then clip) to quires
 expressed as limbs, so the backend protocol is uniform across families and
@@ -92,11 +93,6 @@ class FixedBackend(NumericFormat):
         return raw & fmt.mask
 
     # ------------------------------------------------------------------
-    def make_engine(self):
-        from ..core.vector import FixedVectorEngine
-
-        return FixedVectorEngine(self.fmt)
-
     def make_scalar_emac(self):
         from ..core.emac_fixed import FixedEmac
 

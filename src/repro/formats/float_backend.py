@@ -64,8 +64,6 @@ class FloatBackend(NumericFormat):
             shift=shift,
             invalid=t.is_reserved,
             relu=t.relu.astype(np.int64),
-            max_shift=2 * (fmt.max_scale - (1 - fmt.bias)),
-            sig_bits=fmt.wf + 1,
             # Input value = sig * 2**(scale - wf); over the quire LSB:
             # (scale - (1-bias)) + ((1-bias) - wf - 2*min_scale).
             bias_extra_shift=(1 - fmt.bias) - fmt.wf - 2 * fmt.min_scale,
@@ -164,11 +162,6 @@ class FloatBackend(NumericFormat):
         return bits
 
     # ------------------------------------------------------------------
-    def make_engine(self):
-        from ..core.vector import FloatVectorEngine
-
-        return FloatVectorEngine(self.fmt)
-
     def make_scalar_emac(self):
         from ..core.emac_float import FloatEmac
 

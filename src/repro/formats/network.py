@@ -74,6 +74,17 @@ format, both rounding modes, single- and multi-plane layers and wide
 quires on both sides of the table's window in
 ``tests/formats/test_network_kernel.py``).
 
+Scratch: a forward runs in batch chunks of at most :data:`_CHUNK_ELEMENTS`
+intermediate elements, and every step stages its operands, GEMM outputs,
+words, a wide layer's kept plane sums and bound, and its epilogue output
+in buffers from the calling thread's :class:`_ScratchPool`: one buffer per
+``(tag, dtype)``, reused while the shape repeats and replaced when it
+changes.  Because the pool is per thread, the registry-memoized backends
+and engines and a network's cached plan are safe to share across threads
+(the serving layer's executor runs batches for different models
+concurrently); within a thread a plan call never yields, so asyncio tasks
+cannot interleave mid-call either.
+
 Obtain plans through :meth:`repro.formats.NumericFormat.compile_network`
 (or ``PositronNetwork.network_kernel()``, which recompiles automatically
 after ``recompile()``); ``explain()`` reports each layer's activation and
@@ -84,22 +95,25 @@ DATASET:FORMAT``.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ..fixedpoint import codec as fx
-from . import kernels as _kernels
-from .base import NumericFormat
+from .base import LimbTables, NumericFormat
 from .fixed_backend import FixedBackend
-from .kernels import (
-    _check_weights,
-    _scratch,
-    check_format_patterns,
-    check_patterns,
-)
 from .quire import LIMB_BITS, arithmetic_shift_round, check_rounding_mode
 from .rounding import round_table
 
-__all__ = ["NetworkKernel", "operand_values"]
+__all__ = [
+    "NetworkKernel",
+    "check_format_patterns",
+    "check_patterns",
+    "operand_values",
+]
+
+#: Soft cap on the size of per-chunk intermediate tensors (elements).
+_CHUNK_ELEMENTS = 4_000_000
 
 #: Every sum of a plane GEMM stays an integer below ``2**_EXACT_BITS``,
 #: inside float64's exact-integer range (``2**53``).
@@ -111,6 +125,81 @@ _EXACT_BITS = 52
 _TABLE_BOUND = 2.0**61
 
 _LIMB_MASK = (1 << LIMB_BITS) - 1
+
+
+# ----------------------------------------------------------------------
+# Scratch buffers and pattern checks
+# ----------------------------------------------------------------------
+class _ScratchPool:
+    """One reusable buffer per ``(tag, dtype)``, replaced when its shape changes.
+
+    A plan asks for the same word / staging / GEMM / plane-sum buffers on
+    every chunk of every forward call of one batch size; handing back the
+    same arrays keeps that hot path allocation-free.  A request for another
+    shape replaces the pooled buffer (its earlier holder keeps the old
+    array), so buffers of different shapes never alias and the pool holds
+    one working set, not every shape it has seen.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[tuple, np.ndarray] = {}
+
+    def get(self, shape: tuple[int, ...], dtype, tag: str) -> np.ndarray:
+        # ``tag`` separates buffers that may be alive at the same time even
+        # when their shapes coincide (e.g. a GEMM's input and output).
+        key = (tag, np.dtype(dtype))
+        buf = self._buffers.get(key)
+        if buf is None or buf.shape != shape:
+            buf = self._buffers[key] = np.empty(shape, dtype=dtype)
+        return buf
+
+
+_SCRATCH_TLS = threading.local()
+
+
+def _scratch() -> _ScratchPool:
+    """The calling thread's scratch pool (created on first use)."""
+    pool = getattr(_SCRATCH_TLS, "pool", None)
+    if pool is None:
+        pool = _SCRATCH_TLS.pool = _ScratchPool()
+    return pool
+
+
+def check_patterns(tables: LimbTables, patterns, what: str) -> np.ndarray:
+    """Validate patterns against the decode tables; return them as int64."""
+    p = np.asarray(patterns, dtype=np.int64)
+    if p.size and (p.min() < 0 or p.max() >= tables.signed_sig.shape[0]):
+        raise ValueError(f"{what} pattern out of range")
+    if np.any(tables.invalid[p]):
+        raise ValueError(f"{what} contains NaR/reserved patterns")
+    return p
+
+
+def check_format_patterns(backend: NumericFormat, patterns, what: str) -> np.ndarray:
+    """Validate patterns of any registered family; return them as int64.
+
+    Table-driven formats reject NaR/reserved patterns through their decode
+    tables; fixed point (every pattern valid) rejects only patterns outside
+    ``[0, 2**n)``.
+    """
+    tables = backend.limb_tables()
+    if tables is not None:
+        return check_patterns(tables, patterns, what)
+    p = np.asarray(patterns, dtype=np.int64)
+    if p.size and (p.min() < 0 or p.max() >= 1 << backend.width):
+        raise ValueError(f"{what} pattern out of range")
+    return p
+
+
+def _check_weights(weights, bias) -> tuple[np.ndarray, np.ndarray | None]:
+    weights = np.asarray(weights, dtype=np.uint32)
+    if weights.ndim != 2:
+        raise ValueError(f"weights must be 2-D (out, in); got shape {weights.shape}")
+    if bias is not None:
+        bias = np.asarray(bias, dtype=np.uint32)
+        if bias.shape != (weights.shape[0],):
+            raise ValueError(f"bias must have shape ({weights.shape[0]},)")
+    return weights, bias
 
 
 # ----------------------------------------------------------------------
@@ -552,9 +641,8 @@ class NetworkKernel:
         return p  # "pattern"
 
     def _chunk_rows(self) -> int:
-        cap = _kernels._CHUNK_ELEMENTS
         widest = max(s.words.row_elements() for s in self.steps)
-        return max(1, cap // widest)
+        return max(1, _CHUNK_ELEMENTS // widest)
 
     def _run(self, patterns, readout: bool):
         p = self._prepare(patterns)

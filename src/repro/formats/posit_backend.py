@@ -71,8 +71,6 @@ class PositBackend(NumericFormat):
             shift=shift,
             invalid=t.is_nar,
             relu=t.relu.astype(np.int64),
-            max_shift=4 * fmt.max_scale,  # (scale - min) * 2 at both maxima
-            sig_bits=fmt.significand_bits,
             # An input value sig * 2**(scale - max_frac) sits this far above
             # the quire LSB beyond its own ``shift``.
             bias_extra_shift=fmt.max_fraction_bits - fmt.min_scale,
@@ -193,11 +191,6 @@ class PositBackend(NumericFormat):
         return bits
 
     # ------------------------------------------------------------------
-    def make_engine(self):
-        from ..core.vector import PositVectorEngine
-
-        return PositVectorEngine(self.fmt)
-
     def make_scalar_emac(self):
         from ..core.emac_posit import PositEmac
 

@@ -1,7 +1,8 @@
 """Batched quire normalization for the vectorized round-once path.
 
-The vector engines accumulate every (sample, neuron) dot product as
-unnormalized base-``2**LIMB_BITS`` limbs (see :mod:`repro.core.accumulator`).
+Quires too wide for one int64 word (a wide plan layer's far quires, see
+:mod:`repro.formats.network`) arrive as unnormalized base-``2**LIMB_BITS``
+limbs (see :mod:`repro.core.accumulator`).
 The seed implementation reconstituted each quire as a Python big integer and
 rounded it with the scalar encoder — a per-(sample, neuron) Python loop that
 dominated engine runtime.  This module replaces that loop with whole-tensor
@@ -82,7 +83,7 @@ def round_kept_bits(kept, guard, sticky, mode: str = "rne"):
         return kept
     return kept + (guard & ((kept & 1) | sticky))
 
-#: Width of one vector-engine limb.  Terms are ``product << (shift % LIMB_BITS)``
+#: Width of one quire limb.  Terms are ``product << (shift % LIMB_BITS)``
 #: with products below 2**12 at the paper's widths, so per-limb partial sums
 #: stay far below 2**53 and remain exact even through float64 staging.
 #: (Canonical definition; :mod:`repro.core.accumulator` re-exports it.)
@@ -159,7 +160,7 @@ def normalize_quire_limbs(limbs: np.ndarray) -> NormalizedQuire:
     ``limbs[..., i]`` carries weight ``2**(i * LIMB_BITS)``; entries may be
     negative or exceed the limb radix.  The represented integers must fit in
     the given limbs with at least one limb of sign headroom (guaranteed by
-    the engines' ``_num_limbs`` sizing).
+    a wide plan layer's ``limb_count`` sizing).
     """
     digits = np.asarray(limbs, dtype=np.int64)
     if digits.shape[-1] < _TOP_LIMBS:

@@ -16,7 +16,7 @@ scalar EMAC, quantization, accuracy sweeps, CLI — with one
     ))
 
 Backends are cached per format descriptor (descriptors are frozen
-dataclasses), so decode tables, digit planes, engines, and rank tables are
+dataclasses), so decode, operand, rank and round tables and the engine are
 built once per process and shared by every consumer — sweep workers,
 compiled network plans, and the serving layer's resident models alike
 (safe across executor threads: plan scratch is per-thread).

@@ -10,7 +10,6 @@ from repro.core.accumulator import (
     ExactAccumulator,
     combine_limb_matrix,
     combine_limbs,
-    limbs_needed,
 )
 
 
@@ -97,9 +96,3 @@ class TestLimbs:
         assert len(flat) == 6
         assert flat[0] == combine_limbs(limbs[0, 0])
         assert flat[-1] == combine_limbs(limbs[1, 2])
-
-    def test_limbs_needed(self):
-        assert limbs_needed(0, 10) >= 1
-        assert limbs_needed(100, 12) * LIMB_BITS >= 112
-        with pytest.raises(ValueError):
-            limbs_needed(-1, 4)

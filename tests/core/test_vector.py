@@ -1,15 +1,10 @@
-"""The vector engines must be bit-identical to the scalar EMAC cores."""
+"""The vector engine must be bit-identical to the scalar EMAC cores."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    FixedVectorEngine,
-    FloatVectorEngine,
-    PositVectorEngine,
-    engine_for,
-    scalar_emac_for,
-)
+from repro import formats
+from repro.core import PositronNetwork, VectorEngine, engine_for, scalar_emac_for
 from repro.fixedpoint import fixed_format
 from repro.floatp import float_format, tables_for as float_tables
 from repro.posit import tables_for as posit_tables
@@ -50,9 +45,10 @@ def any_fmt(request):
 
 class TestEngineFactory:
     def test_dispatch(self):
-        assert isinstance(engine_for(standard_format(8, 1)), PositVectorEngine)
-        assert isinstance(engine_for(float_format(4, 3)), FloatVectorEngine)
-        assert isinstance(engine_for(fixed_format(8, 4)), FixedVectorEngine)
+        for fmt in (standard_format(8, 1), float_format(4, 3), fixed_format(8, 4)):
+            engine = engine_for(fmt)
+            assert type(engine) is VectorEngine
+            assert engine.backend is formats.backend_for(fmt)
 
     def test_unknown_type(self):
         with pytest.raises(TypeError):
@@ -106,14 +102,14 @@ class TestBitIdenticalToScalar:
 
     def test_chunking_boundary(self, rng, monkeypatch):
         """Results must not depend on the batch chunk size."""
-        from repro.formats import kernels
+        from repro.formats import network
 
         fmt = standard_format(8, 1)
         engine = engine_for(fmt)
         W = scrub(fmt, rng.integers(0, 256, size=(3, 9), dtype=np.uint32))
         X = scrub(fmt, rng.integers(0, 256, size=(10, 9), dtype=np.uint32))
         full = engine.dot(W, X)
-        monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 30)  # 2-row chunks
+        monkeypatch.setattr(network, "_CHUNK_ELEMENTS", 30)  # 2-row chunks
         chunked = engine.dot(W, X)
         assert np.array_equal(full, chunked)
 
@@ -172,6 +168,21 @@ class TestValidation:
         inf_like = np.full((1, 2), 0b01111000, dtype=np.uint32)
         with pytest.raises(ValueError):
             engine.dot(inf_like, np.zeros((1, 2), np.uint32))
+
+    def test_fixed_point_wider_than_16_bits_rejected(self, rng):
+        """Fixed-point plans support ``n <= 16``: a 17-bit network builds,
+        and its first forward raises."""
+        fmt = fixed_format(17, 8)
+        weights = [rng.normal(size=(3, 4)), rng.normal(size=(2, 3))]
+        biases = [rng.normal(size=3), rng.normal(size=2)]
+        net = PositronNetwork.from_float_params(fmt, weights, biases)
+        x = rng.normal(size=(2, 4))
+        with pytest.raises(ValueError, match="n <= 16"):
+            net.predict(x)
+        with pytest.raises(ValueError, match="n <= 16"):
+            net.forward_patterns(net.engine.quantize(x))
+        with pytest.raises(ValueError, match="n <= 16"):
+            net.engine.dot(net.layers[0].weights, net.engine.quantize(x))
 
     def test_out_of_range_pattern_rejected(self):
         fmt = fixed_format(8, 4)

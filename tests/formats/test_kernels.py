@@ -2,15 +2,18 @@
 
 ``VectorEngine.dot`` compiles a one-layer fused plan, the same code a whole
 network's forward runs.  Every registered format's plan must reproduce the
-scalar EMACs bit for bit, and ``dot_reference`` — the retained PR 1
-digit-plane nest the engine guard times — must match the scalar EMACs in
-both rounding modes.  Explicit edge cases pin what a random property
-rarely reaches: empty batches, fan-in 1, batch-chunk boundaries, all-zero
-weights, maxpos-heavy weights whose quires leave the round table for the
-encoder, fan-ins wide enough to narrow the digit planes, and input
-rejection; plus a network-level check against the golden-pinned iris
-parent model.
+scalar EMACs bit for bit, and ``dot_reference`` — the PR 1 digit-plane
+nest the engine guard times, kept in ``benchmarks/pr1_reference.py`` —
+must match the scalar EMACs in both rounding modes.  Explicit edge cases
+pin what a random property rarely reaches: empty batches, fan-in 1,
+batch-chunk boundaries, all-zero weights, maxpos-heavy weights whose
+quires leave the round table for the encoder, fan-ins wide enough to
+narrow the digit planes, and input rejection; plus a network-level check
+against the golden-pinned iris parent model.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +25,22 @@ from repro.core import engine_for, scalar_emac_for
 from repro.core.positron import PositronNetwork
 from repro.fixedpoint import fixed_format
 from repro.floatp import float_format
-from repro.formats import kernels
+from repro.formats import network
 from repro.formats.network import NetworkKernel
 from repro.posit.format import standard_format
+
+_PR1 = Path(__file__).resolve().parents[2] / "benchmarks" / "pr1_reference.py"
+
+
+def _pr1_reference():
+    """The engine guard's baseline module, loaded by path."""
+    spec = importlib.util.spec_from_file_location("pr1_reference", _PR1)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+pr1_reference = _pr1_reference()
 
 FORMATS = [
     standard_format(6, 0),
@@ -103,13 +119,32 @@ class TestKernelBitIdentity:
         fmt = TABLE_FORMATS[fmt_idx]
         rng = np.random.default_rng(seed)
         W, X, B = random_layer(fmt, rng, out_dim, in_dim, batch, with_bias)
-        engine = engine_for(fmt)
-        reference = engine.dot_reference(W, X, B, rounding_mode=mode)
+        backend = formats.backend_for(fmt)
+        reference = pr1_reference.reference_for(backend).dot_reference(
+            W, X, B, rounding_mode=mode
+        )
         assert np.array_equal(reference, scalar_dot(fmt, W, X, B, mode))
-        out = engine.dot(W, X, B, rounding_mode=mode)
+        out = engine_for(fmt).dot(W, X, B, rounding_mode=mode)
         assert out.shape == (batch, out_dim)
         assert out.dtype == np.uint32
         assert np.array_equal(out, reference)
+
+    @pytest.mark.parametrize("mode", formats.ROUNDING_MODES)
+    @pytest.mark.parametrize(
+        "name",
+        [n for n in formats.available() if formats.get(n).limb_tables() is not None],
+    )
+    def test_reference_every_table_format(self, name, mode, scalar_dot):
+        """dot_reference == the scalar oracle on every table format of the
+        sweep grid, with a row of the largest value for wide quires."""
+        backend = formats.get(name)
+        rng = np.random.default_rng(backend.width)
+        W, X, B = random_layer(backend.fmt, rng, 3, 9, 4, True)
+        X[0] = W[0] = int(np.argmax(backend.rank_table()))
+        reference = pr1_reference.reference_for(backend).dot_reference(
+            W, X, B, rounding_mode=mode
+        )
+        assert np.array_equal(reference, scalar_dot(backend.fmt, W, X, B, mode))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -150,7 +185,7 @@ class TestKernelBitIdentity:
         plan = layer_plan(any_fmt, W, B)
         full = plan.forward(X)
         for cap in (1, 30, 100):
-            monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", cap)
+            monkeypatch.setattr(network, "_CHUNK_ELEMENTS", cap)
             assert np.array_equal(plan.forward(X), full), cap
 
     def test_chunk_cap_monkeypatched(self, rng, monkeypatch):
@@ -159,7 +194,7 @@ class TestKernelBitIdentity:
             W, X, B = random_layer(fmt, rng, 3, 9, 17, True)
             plan = layer_plan(fmt, W, B)
             full = plan.forward(X)
-            monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 25)
+            monkeypatch.setattr(network, "_CHUNK_ELEMENTS", 25)
             assert np.array_equal(plan.forward(X), full), fmt
             monkeypatch.undo()
 
@@ -184,7 +219,7 @@ class TestKernelBitIdentity:
         assert (row["planes"], row["weight_planes"], row["wide"]) == (1, 1, True)
         assert np.array_equal(plan.forward(X), scalar_dot(fmt, W, X, B, mode))
 
-    def test_single_live_weight_plane(self, rng):
+    def test_single_live_weight_plane(self, rng, scalar_dot):
         """Tiny weights: one plane holds the whole product range."""
         fmt = standard_format(8, 1)
         engine = engine_for(fmt)
@@ -193,7 +228,7 @@ class TestKernelBitIdentity:
         B = engine.quantize(rng.uniform(-0.1, 0.1, size=3))
         plan = layer_plan(fmt, W, B)
         assert plan.explain()[0]["planes"] == 1
-        assert np.array_equal(plan.forward(X), engine.dot_reference(W, X, B))
+        assert np.array_equal(plan.forward(X), scalar_dot(fmt, W, X, B))
 
     def test_extreme_weights_fall_back_bit_identically(self, rng, scalar_dot):
         """A maxpos weight makes the quire wide; maxpos activations push
@@ -209,9 +244,7 @@ class TestKernelBitIdentity:
         plan = layer_plan(fmt, W, B)
         (row,) = plan.explain()
         assert (row["path"], row["wide"]) == ("plane", True)
-        out = plan.forward(X)
-        assert np.array_equal(out, engine_for(fmt).dot_reference(W, X, B))
-        assert np.array_equal(out, scalar_dot(fmt, W, X, B))
+        assert np.array_equal(plan.forward(X), scalar_dot(fmt, W, X, B))
 
     @pytest.mark.parametrize("mode", formats.ROUNDING_MODES)
     def test_single_word_layer_takes_two_planes(self, scalar_dot, mode):
@@ -229,7 +262,7 @@ class TestKernelBitIdentity:
         assert (row["path"], row["planes"], row["wide"]) == ("plane", 2, False)
         assert np.array_equal(plan.forward(X), scalar_dot(fmt, W, X, None, mode))
 
-    def test_fan_in_split_accumulation(self, rng):
+    def test_fan_in_split_accumulation(self, rng, scalar_dot):
         """A fan-in of 5000 grows ``S = max_o sum_i |w_oi|``, which narrows
         the exact digit: the activations split into more planes whose words
         accumulate in int64; still bit-identical."""
@@ -242,9 +275,7 @@ class TestKernelBitIdentity:
         narrow = layer_plan(fmt, W[:, :9], B)
         assert plan.steps[0].words.digit_bits < narrow.steps[0].words.digit_bits
         assert plan.explain()[0]["planes"] >= 2
-        assert np.array_equal(
-            plan.forward(X), engine_for(fmt).dot_reference(W, X, B)
-        )
+        assert np.array_equal(plan.forward(X), scalar_dot(fmt, W, X, B))
         bad = np.full((1, 2), fmt.nar_pattern, dtype=np.uint32)
         good = np.zeros((1, 2), dtype=np.uint32)
         with pytest.raises(ValueError):
@@ -298,8 +329,7 @@ class TestNetworkLevel:
         self, iris, name, scalar_forward
     ):
         """Full golden-pinned iris parent deployed at 8 bits: the compiled
-        forward equals the scalar EMAC path sample-for-sample, and (table
-        formats) the PR 1 engine path."""
+        forward equals the scalar EMAC path sample-for-sample."""
         backend = formats.get(name)
         weights, biases = iris.model.export_params()
         net = PositronNetwork.from_float_params(backend.fmt, weights, biases)
@@ -307,15 +337,6 @@ class TestNetworkLevel:
 
         compiled = net.forward_patterns(X)
         assert np.array_equal(compiled, scalar_forward(net, X))
-        if backend.limb_tables() is not None:
-            reference = X
-            for layer in net.layers:
-                reference = net.engine.dot_reference(
-                    layer.weights, reference, layer.bias
-                )
-                if layer.activation == "relu":
-                    reference = net.engine.relu(reference)
-            assert np.array_equal(compiled, reference)
 
     def test_predict_patterns_matches_decoded_argmax(self, iris):
         backend = formats.get("posit8_1")
