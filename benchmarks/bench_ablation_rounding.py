@@ -8,9 +8,9 @@ recompiled with ``rounding_mode="rtz"``.
 
 The ``ablation-truncated-emac`` group times the vectorized truncated pass
 against the retained scalar ``Fraction`` reference on the *full* WBC test
-set (bit-identical outputs asserted in-run); ``check_ablation_regression.py``
-reads both entries from ``BENCH_ablation.json`` and enforces the >= 100x
-speedup floor.
+set (bit-identical outputs asserted in-run); ``guard.py``'s ``ablation``
+gate reads both entries from ``BENCH_ablation.json`` and requires the
+mean speedup to stay >= 619x (half the 1238x measured when it was set).
 """
 
 import numpy as np

@@ -10,9 +10,8 @@ network forward on the PR 1 engine path (``dot_reference`` in
 forward through the fused whole-network plan
 (``PositronNetwork.network_kernel()``), the one production path, asserting
 bit-identity to ``dot_reference`` and the scalar EMAC oracle in-run.
-``check_engine_regression.py`` guards CI against the fused-over-PR 1
-speedup, measured in one run, regressing versus its floor and the
-committed ``engine_baseline.json`` entry.
+``guard.py engine=BENCH_engine.json`` fails CI when the fused-over-PR 1
+speedup, measured in one run, drops below its bound.
 """
 
 import numpy as np

@@ -9,9 +9,9 @@ one asyncio process serializes on the GIL no matter how well it batches.
 For each worker count it records throughput and p50/p99 latency, checks
 a parsed response against direct in-process ``predict`` (scaling may
 never change bits), and derives scaling efficiency vs the single-worker
-baseline into ``BENCH_serve_scaling.json`` for
-``check_serve_scaling.py`` to guard (floor: >= 2x throughput at >= 4
-workers, at comparable p99).
+baseline into ``BENCH_serve_scaling.json`` for ``guard.py``'s
+``scaling`` gate (floor: >= 2x throughput at >= 4 workers, at comparable
+p99).
 
 Run directly (CI slow job)::
 

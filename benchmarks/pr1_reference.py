@@ -8,7 +8,7 @@ digit-plane pair, ``limbs[b, o, k] = sum_{l+m=k} (A_m @ W_l.T)``, and the
 limb tensor is rounded once by the backend's ``encode_from_quire_batch``.
 
 ``bench_engine_throughput.py`` times a network forward on it beside the
-fused plan, and ``check_engine_regression.py`` guards the ratio of the
+fused plan, and ``guard.py``'s ``engine`` gate bounds the ratio of the
 two.  ``tests/formats/test_kernels.py`` loads this file by path and pins
 :meth:`PR1Reference.dot_reference` to the scalar EMAC oracle in both
 rounding modes, so the baseline stays exact.

@@ -471,6 +471,16 @@ _COMMANDS = {
 }
 
 
+def _print_report(render, *args) -> int:
+    """Print one command's report; a bad name or argument exits 2."""
+    try:
+        print(render(*args))
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point: dispatch to one experiment (or ``all``)."""
     args = argv if argv is not None else sys.argv[1:]
@@ -481,19 +491,9 @@ def main(argv: list[str] | None = None) -> int:
     if command == "synth":
         dataset = args[1] if len(args) > 1 else "wbc"
         format_name = args[2] if len(args) > 2 else "posit8_1"
-        try:
-            print(_synth(dataset, format_name))
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        return 0
+        return _print_report(_synth, dataset, format_name)
     if command == "run":
-        try:
-            print(_run(args[1:]))
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        return 0
+        return _print_report(_run, args[1:])
     if command == "serve":
         return _serve(args[1:])
     if command == "formats" and len(args) > 1:
@@ -501,23 +501,13 @@ def main(argv: list[str] | None = None) -> int:
             print("usage: python -m repro formats [--explain DATASET:FORMAT]",
                   file=sys.stderr)
             return 2
-        try:
-            print(_formats_explain(args[2]))
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        return 0
+        return _print_report(_formats_explain, args[2])
     if command == "sweep":
         if len(args) < 3:
             print("usage: python -m repro sweep <dataset> <width|format-name>",
                   file=sys.stderr)
             return 2
-        try:
-            print(_sweep(args[1], args[2]))
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        return 0
+        return _print_report(_sweep, args[1], args[2])
     if command == "all":
         for name, fn in _COMMANDS.items():
             print(f"\n{'=' * 20} {name} {'=' * 20}")

@@ -27,7 +27,7 @@ are directly comparable to Table II — and both now run *vectorized*:
 The seed scalar paths are retained as ``naive_forward_reference`` and
 ``truncated_forward_reference``: they are the property-test oracles the
 vectorized paths are bit-identical to, and the baselines of the
-``check_ablation_regression`` speedup guard.
+benchmark guard's ``ablation`` speedup gate (``benchmarks/guard.py``).
 
 :func:`ablation_width` evaluates one ``(dataset, width)`` cell of the full
 ablation grid — exact/naive/truncated accuracy for every posit sweep

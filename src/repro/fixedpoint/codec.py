@@ -1,9 +1,8 @@
 """Vector helpers for fixed-point quantization and decoding.
 
 Fixed-point needs no decode tables: patterns *are* scaled integers.  These
-helpers quantize/dequantize whole numpy arrays and provide the same
-``negate``/``relu`` pattern maps the other formats expose, for uniformity in
-the vectorized engine.
+helpers quantize/dequantize whole numpy arrays, convert between patterns and
+signed integers, and apply a ReLU to patterns.
 """
 
 from __future__ import annotations

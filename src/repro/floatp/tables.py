@@ -35,13 +35,7 @@ class FloatTables:
     is_zero: np.ndarray
     is_reserved: np.ndarray
     float_value: np.ndarray
-    negate: np.ndarray
     relu: np.ndarray
-
-    @property
-    def frac_shift(self) -> int:
-        """Fraction bits of :attr:`significand`: ``wf``."""
-        return self.fmt.wf
 
 
 def _build(fmt: FloatFormat) -> FloatTables:
@@ -52,12 +46,10 @@ def _build(fmt: FloatFormat) -> FloatTables:
     is_zero = np.zeros(count, dtype=bool)
     is_reserved = np.zeros(count, dtype=bool)
     float_value = np.empty(count, dtype=np.float64)
-    negate = np.zeros(count, dtype=np.uint32)
     relu = np.zeros(count, dtype=np.uint32)
 
     for bits in fmt.all_patterns():
         d = decode(fmt, bits)
-        negate[bits] = bits ^ fmt.sign_mask
         if d.is_reserved:
             is_reserved[bits] = True
             float_value[bits] = np.nan
@@ -80,7 +72,6 @@ def _build(fmt: FloatFormat) -> FloatTables:
         is_zero=is_zero,
         is_reserved=is_reserved,
         float_value=float_value,
-        negate=negate,
         relu=relu,
     )
 

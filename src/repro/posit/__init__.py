@@ -18,7 +18,6 @@ from .tables import (
     quantize_array,
     tables_for,
 )
-from .math import from_float32_bits, pow2_int, reciprocal, sqrt, to_float32_bits
 
 __all__ = [
     "PositFormat",
@@ -40,9 +39,4 @@ __all__ = [
     "tables_for",
     "quantize_array",
     "dequantize_array",
-    "sqrt",
-    "reciprocal",
-    "pow2_int",
-    "from_float32_bits",
-    "to_float32_bits",
 ]

@@ -47,8 +47,6 @@ class PositTables:
     float_value:
         float64 value of each pattern (NaR maps to NaN).  Used for argmax
         readout and diagnostics, not for exact arithmetic.
-    negate:
-        uint32; pattern -> pattern of the negated value (two's complement).
     relu:
         uint32; pattern -> pattern after a ReLU (negatives and NaR to zero).
     """
@@ -60,13 +58,7 @@ class PositTables:
     is_zero: np.ndarray
     is_nar: np.ndarray
     float_value: np.ndarray
-    negate: np.ndarray
     relu: np.ndarray
-
-    @property
-    def frac_shift(self) -> int:
-        """Fraction bits of :attr:`significand`: ``max_fraction_bits``."""
-        return self.fmt.max_fraction_bits
 
 
 def _build(fmt: PositFormat) -> PositTables:
@@ -77,20 +69,17 @@ def _build(fmt: PositFormat) -> PositTables:
     is_zero = np.zeros(count, dtype=bool)
     is_nar = np.zeros(count, dtype=bool)
     float_value = np.empty(count, dtype=np.float64)
-    negate = np.zeros(count, dtype=np.uint32)
     relu = np.zeros(count, dtype=np.uint32)
 
     for bits in fmt.all_patterns():
         d = decode(fmt, bits)
         if d.is_zero:
             float_value[bits] = 0.0
-            negate[bits] = bits
             relu[bits] = bits
             is_zero[bits] = True
             continue
         if d.is_nar:
             float_value[bits] = np.nan
-            negate[bits] = bits
             relu[bits] = fmt.zero_pattern
             is_nar[bits] = True
             continue
@@ -98,7 +87,6 @@ def _build(fmt: PositFormat) -> PositTables:
         scale[bits] = d.scale
         significand[bits] = d.significand_fixed
         float_value[bits] = float(d.to_fraction())
-        negate[bits] = ((1 << fmt.n) - bits) & fmt.mask
         relu[bits] = fmt.zero_pattern if d.sign else bits
     return PositTables(
         fmt=fmt,
@@ -108,7 +96,6 @@ def _build(fmt: PositFormat) -> PositTables:
         is_zero=is_zero,
         is_nar=is_nar,
         float_value=float_value,
-        negate=negate,
         relu=relu,
     )
 

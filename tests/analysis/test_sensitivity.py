@@ -96,6 +96,20 @@ class TestCli:
 
         assert main(["nonsense"]) == 2
 
+    @pytest.mark.parametrize("args, message", [
+        (["synth", "wbc", "nosuch"], "unknown format name 'nosuch'"),
+        (["run", "sweep", "--widths", "x"], "invalid literal for int()"),
+        (["formats", "--explain", "iris"], "--explain wants DATASET:FORMAT"),
+        (["sweep", "iris", "nosuch"], "unknown format name 'nosuch'"),
+    ], ids=["synth", "run", "formats-explain", "sweep"])
+    def test_bad_argument_is_one_error_line(self, capsys, args, message):
+        from repro.__main__ import main
+
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
     def test_help(self, capsys):
         from repro.__main__ import main
 

@@ -11,7 +11,7 @@ with real sockets — and asserts the self-healing contract end to end:
 
 When ``REPRO_CHAOS_JSON`` names a path, a machine-readable report of
 every scenario is written there for CI to archive and for
-``benchmarks/check_chaos.py`` to guard.  The fast deterministic slices
+``python benchmarks/guard.py chaos=REPORT`` to check.  The fast deterministic slices
 of the same behaviours live in ``tests/analysis/test_resilience.py``,
 ``tests/serve/test_resilience.py``, and ``tests/faults``.
 """

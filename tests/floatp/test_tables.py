@@ -31,11 +31,6 @@ class TestTables:
             assert t.significand[bits] == d.significand
             assert t.float_value[bits] == float(d.to_fraction())
 
-    def test_negate_table(self, float_fmt):
-        t = tables_for(float_fmt)
-        for bits in float_fmt.all_patterns():
-            assert t.negate[bits] == bits ^ float_fmt.sign_mask
-
     def test_relu_table(self, float_fmt):
         t = tables_for(float_fmt)
         for bits in float_fmt.all_patterns():
@@ -46,9 +41,6 @@ class TestTables:
                 assert t.relu[bits] == 0
             else:
                 assert t.relu[bits] == bits
-
-    def test_frac_shift(self, float_fmt):
-        assert tables_for(float_fmt).frac_shift == float_fmt.wf
 
 
 class TestQuantize:

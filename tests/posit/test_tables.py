@@ -41,21 +41,8 @@ class TestTableConstruction:
             assert t.significand[bits] == d.significand_fixed
             assert t.float_value[bits] == float(d.to_fraction())
 
-    def test_frac_shift(self, posit_fmt):
-        assert tables_for(posit_fmt).frac_shift == posit_fmt.max_fraction_bits
-
 
 class TestPatternMaps:
-    def test_negate_table(self, posit_fmt):
-        t = tables_for(posit_fmt)
-        for bits in posit_fmt.all_patterns():
-            if bits in (posit_fmt.zero_pattern, posit_fmt.nar_pattern):
-                assert t.negate[bits] == bits
-                continue
-            neg = int(t.negate[bits])
-            d = decode(posit_fmt, bits)
-            assert decode(posit_fmt, neg).to_fraction() == -d.to_fraction()
-
     def test_relu_table(self, posit_fmt):
         t = tables_for(posit_fmt)
         for bits in posit_fmt.all_patterns():

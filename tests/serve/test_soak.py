@@ -12,18 +12,19 @@ assertions are the production invariants:
   ``predict`` of the network that served it, across coalescing, A/B
   routing, and the swap;
 * **canary silence** — the sampled A/B bit-identity canary never trips;
-* **bounded tail latency** — p99 stays under the committed baseline
-  (``benchmarks/serve_soak_baseline.json``), with generous headroom so
+* **bounded tail latency** — p99 stays under the benchmark guard's bound
+  (``soak_p99_ms`` in ``benchmarks/guard.py``), with generous headroom so
   the bound catches pathologies (a stalled batcher, a lost wakeup), not
   CI-machine jitter.
 
 When ``REPRO_SOAK_JSON`` names a path, the measured counters are written
-there for CI to archive next to ``BENCH_serve.json`` and to guard via
-``benchmarks/check_serve_soak.py``.
+there for CI to archive next to ``BENCH_serve.json`` and to check with
+``python benchmarks/guard.py soak=BENCH_serve_soak.json``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import threading
@@ -61,6 +62,15 @@ _SWAP_AFTER = 0.25  # fraction of a worker's trace before the swap lands
 #: SwappingLoader applies), so bit-identity is asserted against whichever
 #: network was live — responses carry the generation via the arm name.
 _FEATURES = {"toy": 4, "toy2": 5}
+
+
+def _guard_bounds() -> dict:
+    """The benchmark guard's bound table (``benchmarks/guard.py``)."""
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "guard.py"
+    spec = importlib.util.spec_from_file_location("guard", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.BOUNDS
 
 
 class SwappingLoader:
@@ -198,15 +208,8 @@ def test_soak_multi_model_trace_zero_errors_bounded_p99():
 
     p50 = percentile(latencies_ms, 50)
     p99 = percentile(latencies_ms, 99)
-    baseline_path = (
-        Path(__file__).resolve().parents[2]
-        / "benchmarks" / "serve_soak_baseline.json"
-    )
-    baseline = json.loads(baseline_path.read_text())
-    assert p99 <= baseline["p99_ms_bound"], (
-        f"p99 {p99:.1f}ms exceeds the committed bound "
-        f"{baseline['p99_ms_bound']}ms"
-    )
+    bound = _guard_bounds()["soak_p99_ms"]
+    assert p99 <= bound, f"p99 {p99:.1f}ms exceeds the guard's bound {bound}ms"
 
     record = {
         "requests": total,
