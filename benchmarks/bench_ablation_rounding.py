@@ -3,21 +3,22 @@
 The paper adopts RNE "to further improve accuracy" (Section III-A).  This
 bench isolates that choice across all three paper datasets: exact
 accumulation in both arms, only the final quire -> output conversion
-differs — the truncated arm is the same compiled digit-plane GEMM stack
-recompiled with ``rounding_mode="rtz"``.
+differs — the truncated arm is the network's digit-plane GEMM plan
+compiled in ``"rtz"`` (``network_kernel("rtz")``).
 
 The ``ablation-truncated-emac`` group times the vectorized truncated pass
-against the retained scalar ``Fraction`` reference on the *full* WBC test
-set (bit-identical outputs asserted in-run); ``guard.py``'s ``ablation``
-gate reads both entries from ``BENCH_ablation.json`` and requires the
-mean speedup to stay >= 619x (half the 1238x measured when it was set).
+against the scalar ``Fraction`` oracle, ``forward_scalar(row,
+rounding_mode="rtz")`` on every quantized row of the *full* WBC test set
+(bit-identical outputs asserted in-run); ``guard.py``'s ``ablation`` gate
+reads both entries from ``BENCH_ablation.json`` and requires the mean
+speedup to stay >= 619x (half the 1238x measured when it was set).
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis import truncated_accuracy
-from repro.analysis.ablation import truncated_forward, truncated_forward_reference
+from repro.analysis.ablation import truncated_forward
 from repro.core import PositronNetwork
 from repro.posit.format import standard_format
 
@@ -81,13 +82,13 @@ def test_truncated_vectorized_wbc(benchmark, wbc_truncation_case):
 
 @pytest.mark.benchmark(group="ablation-truncated-emac")
 def test_truncated_reference_wbc(benchmark, wbc_truncation_case):
-    """Scalar Fraction-EMAC reference on the same set — the speedup
+    """Scalar Fraction-EMAC oracle on the same set — the speedup
     baseline — with bit-identity to the vectorized pass asserted."""
     net, test_x = wbc_truncation_case
+    rows = net.engine.quantize(test_x)
 
     def run():
-        return [truncated_forward_reference(net, x) for x in test_x]
+        return [net.forward_scalar(row, rounding_mode="rtz") for row in rows]
 
     ref = benchmark.pedantic(run, rounds=1, iterations=1)
-    vec = truncated_forward(net, test_x)
-    assert [list(map(int, row)) for row in vec] == ref
+    assert truncated_forward(net, test_x).tolist() == ref

@@ -174,10 +174,11 @@ def _formats_explain(spec: str) -> str:
     backend = formats.get(format_name)
     weights, biases = trained_model(dataset).model.export_params()
     net = PositronNetwork.from_float_params(backend.fmt, weights, biases)
-    report = net.network_kernel().explain()
+    plan = net.network_kernel()
+    report = plan.explain()
     lines = [
         f"[{dataset}, {backend.label}] fused network plan "
-        f"(mode={net.rounding_mode})",
+        f"(mode={plan.rounding_mode})",
         f"{'layer':<6}{'shape':<12}{'act':<10}{'planes':<8}"
         f"{'quire':<7}{'wide':<6}{'operands':<10}tables",
     ]

@@ -12,22 +12,22 @@ ablations quantify those choices:
   instead of RNE at the output stage.
 
 Both run the same Deep Positron networks as the main sweeps, so the deltas
-are directly comparable to Table II — and both now run *vectorized*:
+are directly comparable to Table II — and both run *vectorized*:
 
-* the truncated EMAC is simply the network recompiled with
-  ``rounding_mode="rtz"`` (:meth:`PositronNetwork.with_rounding_mode`), so
-  it rides the same stacked digit-plane GEMM kernels as the main sweeps;
+* the truncated EMAC is the network's fused plan compiled in
+  ``"rtz"`` (:meth:`PositronNetwork.network_kernel`), so it rides the
+  same digit-plane GEMM kernels as the main sweeps; its oracle is the
+  network's own scalar path, ``forward_scalar(row, rounding_mode="rtz")``,
+  which the benchmark guard's ``ablation`` speedup gate also times
+  (``benchmarks/guard.py``);
 * the naive MAC replaces its per-step ``quantize∘decode∘quantize`` with a
   registry-memoized pattern-domain **product table** — a ``(2**n, 2**n)``
   uint32 gather holding ``round(w · a)`` for every pattern pair — plus the
   backends' sorted-boundary ``searchsorted`` quantizer for the add-round,
   vectorized over ``(batch, out)``; only the (inherently sequential)
-  fan-in recurrence remains a Python loop.
-
-The seed scalar paths are retained as ``naive_forward_reference`` and
-``truncated_forward_reference``: they are the property-test oracles the
-vectorized paths are bit-identical to, and the baselines of the
-benchmark guard's ``ablation`` speedup gate (``benchmarks/guard.py``).
+  fan-in recurrence remains a Python loop.  The seed per-feature loop is
+  retained as ``naive_forward_reference``, the property-test oracle the
+  vectorized recurrence is bit-identical to.
 
 :func:`ablation_width` evaluates one ``(dataset, width)`` cell of the full
 ablation grid — exact/naive/truncated accuracy for every posit sweep
@@ -38,12 +38,10 @@ the grid out as ``python -m repro run ablation --jobs N``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .. import formats
-from ..core.positron import PositronNetwork, scalar_emac_for
+from ..core.positron import PositronNetwork
 from ..core.vector import engine_for
 from ..nn.quantize import candidate_configs, quantize_nearest
 from .store import artifact_store, content_key, store_enabled
@@ -55,7 +53,6 @@ __all__ = [
     "naive_forward_reference",
     "naive_accuracy",
     "truncated_forward",
-    "truncated_forward_reference",
     "truncated_accuracy",
     "ablation_task_key",
     "ablation_width",
@@ -196,47 +193,11 @@ def truncated_forward(
 
     Exact accumulation is kept (this isolates the *rounding mode* choice);
     only the quire -> output conversion changes from RNE to round-toward-
-    zero.  Runs the same compiled digit-plane GEMM kernels as the main
-    sweeps via :meth:`PositronNetwork.with_rounding_mode`; bit-identical to
-    :func:`truncated_forward_reference`.
+    zero.  Runs the network's fused plan compiled in ``"rtz"``; bit-identical
+    to ``network.forward_scalar(row, rounding_mode="rtz")`` row by row.
     """
-    twin = network.with_rounding_mode("rtz")
-    patterns = twin.engine.quantize(np.asarray(inputs, dtype=np.float64))
-    return twin.forward_patterns(patterns)
-
-
-def _truncate_to_format(fmt, value: Fraction) -> int:
-    """Round ``value`` toward zero to the nearest format pattern."""
-    return formats.backend_for(fmt).truncate_scalar(value)
-
-
-def truncated_forward_reference(
-    network: PositronNetwork, sample: np.ndarray
-) -> list[int]:
-    """One sample through scalar EMACs with truncating output stages.
-
-    The retained oracle for :func:`truncated_forward`: exact ``Fraction``
-    accumulation per neuron, rounded toward zero by ``truncate_scalar``.
-    ReLU is applied table-wise on the whole layer output (the seed version
-    built a 1-element array per neuron).
-    """
-    fmt = network.fmt
-    engine = network.engine
-    patterns = [int(p) for p in engine.quantize(np.asarray(sample, dtype=np.float64))]
-    emac = scalar_emac_for(fmt)
-    for layer in network.layers:
-        outputs = []
-        for o in range(layer.out_features):
-            emac.reset(int(layer.bias[o]))
-            for w, a in zip(layer.weights[o], patterns):
-                emac.step(int(w), int(a))
-            exact = emac.accumulator_value()
-            outputs.append(_truncate_to_format(fmt, exact))
-        if layer.activation == "relu":
-            relu = engine.relu(np.asarray(outputs, dtype=np.uint32))
-            outputs = [int(b) for b in relu]
-        patterns = outputs
-    return patterns
+    patterns = network.engine.quantize(np.asarray(inputs, dtype=np.float64))
+    return network.network_kernel("rtz").forward(np.atleast_2d(patterns))
 
 
 def truncated_accuracy(
@@ -244,12 +205,12 @@ def truncated_accuracy(
 ) -> float:
     """Accuracy with truncating (round-toward-zero) output stages.
 
-    The rtz twin is a full :class:`PositronNetwork`, so this is simply its
-    ``predict`` (quantize, compiled rtz kernels, rank-table readout)
-    against the labels.
+    The same quantize and rank-table readout as
+    :meth:`PositronNetwork.predict`, on the network's ``"rtz"`` plan.
     """
-    twin = network.with_rounding_mode("rtz")
-    return float(np.mean(twin.predict(inputs) == np.asarray(labels)))
+    patterns = network.engine.quantize(np.asarray(inputs, dtype=np.float64))
+    predicted = network.network_kernel("rtz").predict(np.atleast_2d(patterns))
+    return float(np.mean(predicted == np.asarray(labels)))
 
 
 # ----------------------------------------------------------------------

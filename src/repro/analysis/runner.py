@@ -29,6 +29,7 @@ full guide — phases, resume semantics, environment variables — is
 
 from __future__ import annotations
 
+import math
 import random
 import shutil
 import tempfile
@@ -266,6 +267,8 @@ def _run_grid(
     """
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
+    if not (math.isfinite(retry_backoff_s) and retry_backoff_s >= 0):
+        raise ValueError("retry_backoff_s must be finite and >= 0")
     total = len(tasks)
     results: dict[SweepTask, dict] = {}
     attempts: dict[SweepTask, int] = {}

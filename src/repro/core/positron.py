@@ -1,14 +1,18 @@
 """Deep Positron — the paper's DNN inference architecture (Fig. 1).
 
 A :class:`PositronNetwork` is a sequence of :class:`PositronLayer` objects.
-Each layer owns local weight and bias memories holding *bit patterns* of the
-network's numerical format, and computes every neuron with an exact
+A layer is its format, its local weight and bias memories holding *bit
+patterns* of that format, and its activation.  Every neuron is an exact
 multiply-and-accumulate: products of the low-precision inputs are
 accumulated exactly and rounded once back to the ``n``-bit format.  Hidden
 layers apply ReLU (exact on patterns: negative -> zero); the readout layer
 is affine ("identity" activation), and classification argmaxes the readout
 patterns directly through the format's monotone rank table (identical to
 argmaxing the decoded values, without the float64 decode).
+
+How the round-once output stage rounds is not layer state but an argument
+of each run: ``"rne"`` (the paper's round-to-nearest-even, the default) or
+``"rtz"`` (round toward zero, the truncated-EMAC ablation).
 
 Building a layer only validates its parameters; nothing is compiled until
 the first whole-network call.  ``forward_patterns`` / ``predict_patterns``
@@ -17,9 +21,10 @@ then ride a cached fused plan (:meth:`PositronNetwork.network_kernel`,
 round-once / pattern-ReLU / operand-gather epilogues with a fixed words
 path per layer.
 
-Two execution paths produce identical bits:
+Two execution paths produce identical bits, in either rounding mode:
 
-* the fused plan — :meth:`PositronNetwork.forward_patterns`, and
+* the fused plan — :meth:`PositronNetwork.network_kernel` (which
+  :meth:`PositronNetwork.forward_patterns` runs in ``"rne"``), and
   :meth:`PositronLayer.forward` as a one-layer plan (production path);
 * :meth:`PositronLayer.forward_scalar` — one scalar EMAC per neuron, the
   oracle the plans are tested against, emulating the hardware datapath
@@ -46,21 +51,9 @@ Activation = str  # "relu" | "identity"
 _ACTIVATIONS = ("relu", "identity")
 
 # Monotonic parameter stamps: every layer (re)compile takes a fresh epoch,
-# so a network's cached fused plan can detect staleness by comparing epoch
+# so a network's cached fused plans can detect staleness by comparing epoch
 # signatures (ids are unreliable — CPython reuses them after GC).
 _EPOCHS = itertools.count(1)
-
-
-def _common_mode(layers, requested: str | None = None) -> str:
-    """The one rounding mode of ``layers`` (and ``requested``); a mismatch
-    is the caller's to resolve, never a silent recompile of their layers."""
-    modes = {layer.rounding_mode for layer in layers} | {requested} - {None}
-    if len(modes) != 1:
-        raise ValueError(
-            f"inconsistent rounding modes {sorted(modes)}; construct "
-            "layers with the desired mode or use with_rounding_mode()"
-        )
-    return modes.pop()
 
 
 def scalar_emac_for(fmt) -> Emac:
@@ -82,30 +75,14 @@ class PositronLayer:
         ``(out,)`` uint32 array of bias patterns.
     activation:
         ``"relu"`` for hidden layers, ``"identity"`` for the readout.
-    engine:
-        The vectorized EMAC engine (shared across layers of one network).
-    rounding_mode:
-        Round-once output stage of every EMAC in the layer: ``"rne"``
-        (default) or ``"rtz"`` (round toward zero, the truncated-EMAC
-        ablation).  :meth:`forward` rounds in it, and so does the plan of
-        a network whose layers all share it (see
-        :attr:`PositronNetwork.rounding_mode`).
     """
 
     fmt: object
     weights: np.ndarray
     bias: np.ndarray
     activation: Activation
-    engine: VectorEngine
-    rounding_mode: str = "rne"
 
     def __post_init__(self) -> None:
-        self.weights = np.asarray(self.weights, dtype=np.uint32)
-        self.bias = np.asarray(self.bias, dtype=np.uint32)
-        if self.weights.ndim != 2:
-            raise ValueError("weights must be (out, in)")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise ValueError("bias shape must match the output dimension")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"activation must be one of {_ACTIVATIONS}")
         self.recompile()
@@ -113,17 +90,28 @@ class PositronLayer:
     def recompile(self) -> None:
         """Re-validate the parameters and invalidate cached plans.
 
-        Rejects an unknown rounding mode and NaR, reserved or out-of-range
-        weight and bias patterns.  Call again after mutating
-        ``weights``/``bias``/``rounding_mode`` in place: the fresh epoch
-        makes the network's cached fused plan recompile on next use.
+        Checks the arrays as given, before storing them as uint32: rejects
+        shapes other than ``(out, in)`` / ``(out,)`` and non-integer, NaR,
+        reserved or out-of-range weight and bias patterns.  Call again
+        after mutating ``weights``/``bias`` in place: the fresh epoch makes
+        the network's cached fused plans recompile on next use.
         """
-        formats.check_rounding_mode(self.rounding_mode)
         backend = formats.backend_for(self.fmt)
-        formats.check_format_patterns(backend, self.weights, "weights")
-        formats.check_format_patterns(backend, self.bias, "bias")
+        weights = formats.check_format_patterns(backend, self.weights, "weights")
+        bias = formats.check_format_patterns(backend, self.bias, "bias")
+        if weights.ndim != 2:
+            raise ValueError("weights must be (out, in)")
+        if bias.shape != (weights.shape[0],):
+            raise ValueError("bias shape must match the output dimension")
+        self.weights = np.asarray(self.weights, dtype=np.uint32)
+        self.bias = np.asarray(self.bias, dtype=np.uint32)
         # Stamp the parameters so cached whole-network plans notice them.
         self._epoch = next(_EPOCHS)
+
+    @property
+    def engine(self) -> VectorEngine:
+        """The format's shared vectorized engine."""
+        return engine_for(self.fmt)
 
     @property
     def in_features(self) -> int:
@@ -146,25 +134,40 @@ class PositronLayer:
     def forward(self, patterns: np.ndarray) -> np.ndarray:
         """Exact forward pass on ``(batch, in)`` patterns: a one-layer plan."""
         plan = formats.backend_for(self.fmt).compile_network(
-            [(self.weights, self.bias, self.activation)],
-            rounding_mode=self.rounding_mode,
+            [(self.weights, self.bias, self.activation)]
         )
-        return plan.forward(np.asarray(patterns, dtype=np.uint32))
+        return plan.forward(patterns)
 
-    def forward_scalar(self, patterns: Sequence[int]) -> list[int]:
-        """One-sample reference path: one scalar EMAC per neuron."""
-        emac = scalar_emac_for(self.fmt)
-        outputs = []
-        for o in range(self.out_features):
-            bits = emac.dot(
-                [int(w) for w in self.weights[o]],
-                [int(p) for p in patterns],
-                bias_bits=int(self.bias[o]),
+    def forward_scalar(
+        self, patterns: Sequence[int], rounding_mode: str = "rne"
+    ) -> list[int]:
+        """One-sample reference path: one scalar EMAC per neuron.
+
+        Each EMAC accumulates its products exactly and rounds once: by its
+        own output stage for ``"rne"``, by the backend's ``truncate_scalar``
+        of the exact accumulator for ``"rtz"``.
+        """
+        backend = formats.backend_for(self.fmt)
+        truncate = formats.check_rounding_mode(rounding_mode) == "rtz"
+        activations = [int(p) for p in patterns]
+        if len(activations) != self.in_features:
+            raise ValueError(
+                f"expected {self.in_features} input patterns, "
+                f"got {len(activations)}"
             )
-            outputs.append(bits)
+        emac = backend.make_scalar_emac()
+        outputs = []
+        for weights, bias in zip(self.weights.tolist(), self.bias.tolist()):
+            emac.reset(bias)
+            for w, a in zip(weights, activations):
+                emac.step(w, a)
+            outputs.append(
+                backend.truncate_scalar(emac.accumulator_value())
+                if truncate
+                else emac.result()
+            )
         if self.activation == "relu":
-            relu = self.engine.relu(np.asarray(outputs, dtype=np.uint32))
-            outputs = [int(b) for b in relu]
+            outputs = backend.relu_batch(np.asarray(outputs, np.uint32)).tolist()
         return outputs
 
 
@@ -173,16 +176,17 @@ class PositronNetwork:
 
     Build one with :meth:`from_arrays` (pattern arrays) or
     :meth:`from_float_params` (trained float parameters, quantized here).
+    Every layer must be of the network's format ``fmt``.
     """
 
-    def __init__(
-        self,
-        fmt,
-        layers: Sequence[PositronLayer],
-        rounding_mode: str | None = None,
-    ):
+    def __init__(self, fmt, layers: Sequence[PositronLayer]):
         if not layers:
             raise ValueError("network needs at least one layer")
+        for layer in layers:
+            if layer.fmt != fmt:
+                raise ValueError(
+                    f"layer of format {layer.fmt} in a {fmt} network"
+                )
         for first, second in zip(layers, layers[1:]):
             if first.out_features != second.in_features:
                 raise ValueError(
@@ -191,12 +195,9 @@ class PositronNetwork:
                 )
         self.fmt = fmt
         self.layers = list(layers)
-        self.engine = layers[0].engine
-        if rounding_mode is not None:
-            formats.check_rounding_mode(rounding_mode)
-        _common_mode(self.layers, rounding_mode)
-        self._mode_twins: dict[str, "PositronNetwork"] = {}
-        self._network_plan = None  # (epoch signature, fused NetworkKernel)
+        self.engine = engine_for(fmt)
+        # Rounding mode -> (epoch signature, fused NetworkKernel).
+        self._plans: dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -205,20 +206,15 @@ class PositronNetwork:
         fmt,
         weight_arrays: Sequence[np.ndarray],
         bias_arrays: Sequence[np.ndarray],
-        engine: VectorEngine | None = None,
-        rounding_mode: str = "rne",
     ) -> "PositronNetwork":
         """Assemble from pattern arrays; last layer gets identity activation."""
         if len(weight_arrays) != len(bias_arrays):
             raise ValueError("need one bias array per weight array")
-        engine = engine or engine_for(fmt)
         layers = []
         last = len(weight_arrays) - 1
         for i, (w, b) in enumerate(zip(weight_arrays, bias_arrays)):
             activation = "identity" if i == last else "relu"
-            layers.append(
-                PositronLayer(fmt, w, b, activation, engine, rounding_mode)
-            )
+            layers.append(PositronLayer(fmt, w, b, activation))
         return cls(fmt, layers)
 
     @classmethod
@@ -227,56 +223,14 @@ class PositronNetwork:
         fmt,
         weight_arrays: Sequence[np.ndarray],
         bias_arrays: Sequence[np.ndarray],
-        rounding_mode: str = "rne",
     ) -> "PositronNetwork":
         """Quantize trained float parameters into a Deep Positron network."""
         engine = engine_for(fmt)
         weights = [engine.quantize(np.asarray(w)) for w in weight_arrays]
         biases = [engine.quantize(np.asarray(b)) for b in bias_arrays]
-        return cls.from_arrays(
-            fmt, weights, biases, engine=engine, rounding_mode=rounding_mode
-        )
-
-    def with_rounding_mode(self, rounding_mode: str) -> "PositronNetwork":
-        """A sibling network on the *same* pattern arrays, re-rounded.
-
-        The twin shares weight/bias arrays and the memoized engine; only
-        the compiled plan differs (its round-once output stage).  The
-        rounding-mode ablations use this to deploy one quantized model
-        under both modes without re-quantizing.  Twins are cached per mode
-        so repeated ablation passes compile once; like ``recompile()``,
-        mutating parameter arrays in place afterwards requires recompiling
-        the twin's layers too.
-        """
-        formats.check_rounding_mode(rounding_mode)
-        if rounding_mode == self.rounding_mode:
-            return self
-        twin = self._mode_twins.get(rounding_mode)
-        if twin is None or twin.rounding_mode != rounding_mode:
-            layers = [
-                PositronLayer(
-                    self.fmt,
-                    layer.weights,
-                    layer.bias,
-                    layer.activation,
-                    layer.engine,
-                    rounding_mode,
-                )
-                for layer in self.layers
-            ]
-            twin = self._mode_twins[rounding_mode] = type(self)(
-                self.fmt, layers
-            )
-            # Seed the back-link so mode round-trips are free.
-            twin._mode_twins[self.rounding_mode] = self
-        return twin
+        return cls.from_arrays(fmt, weights, biases)
 
     # ------------------------------------------------------------------
-    @property
-    def rounding_mode(self) -> str:
-        """The layers' common round-once mode, which the plan compiles in."""
-        return _common_mode(self.layers)
-
     @property
     def topology(self) -> tuple[int, ...]:
         """(inputs, hidden..., outputs) neuron counts."""
@@ -285,40 +239,34 @@ class PositronNetwork:
         )
 
     def recompile(self) -> None:
-        """Recompile every layer (and cached mode twins') in place.
+        """Recompile every layer in place.
 
-        Call after mutating any layer's ``weights``/``bias``/``rounding_mode``
-        (modes must still agree).  The fresh layer epochs invalidate the
-        cached fused plans (:meth:`network_kernel`) of this network and its
-        twins, so the next ``forward_patterns`` / ``predict_patterns``
-        recompiles them.
+        Call after mutating any layer's ``weights``/``bias``.  The fresh
+        layer epochs invalidate every cached fused plan
+        (:meth:`network_kernel`), so the next call recompiles it.
         """
         for layer in self.layers:
             layer.recompile()
-        for twin in self._mode_twins.values():
-            for layer in twin.layers:
-                layer.recompile()
-        _common_mode(self.layers)
 
-    def network_kernel(self):
-        """The whole network compiled into one fused plan, cached.
+    def network_kernel(self, rounding_mode: str = "rne"):
+        """The whole network compiled into one fused plan, cached per mode.
 
         Chains every layer through fused round-once / pattern-space ReLU /
         operand-gather epilogues with a fixed words path per layer
-        (see :mod:`repro.formats.network`).  The first call is the
-        network's only compile.  The cache is keyed by the layers' epochs,
-        so any :meth:`PositronLayer.recompile` — a weight mutation, a
-        rounding-mode change — invalidates it.
+        (see :mod:`repro.formats.network`); the round-once stage rounds in
+        ``rounding_mode``.  The first call per mode is that mode's only
+        compile.  The cache is keyed by the layers' epochs, so any
+        :meth:`PositronLayer.recompile` invalidates it.
         """
         signature = tuple(layer._epoch for layer in self.layers)
-        cached = self._network_plan
+        cached = self._plans.get(rounding_mode)
         if cached is not None and cached[0] == signature:
             return cached[1]
         plan = formats.backend_for(self.fmt).compile_network(
             [(l.weights, l.bias, l.activation) for l in self.layers],
-            rounding_mode=self.rounding_mode,
+            rounding_mode=rounding_mode,
         )
-        self._network_plan = (signature, plan)
+        self._plans[rounding_mode] = (signature, plan)
         return plan
 
     def forward_patterns(self, patterns: np.ndarray) -> np.ndarray:
@@ -329,16 +277,18 @@ class PositronNetwork:
         not even that — each epilogue hands the next layer its operands
         directly.  Bit-identical to :meth:`forward_scalar`, row by row.
         """
-        out = np.asarray(patterns, dtype=np.uint32)
+        out = np.asarray(patterns)
         if out.ndim == 1:
             out = out[None, :]
         return self.network_kernel().forward(out)
 
-    def forward_scalar(self, patterns: Sequence[int]) -> list[int]:
+    def forward_scalar(
+        self, patterns: Sequence[int], rounding_mode: str = "rne"
+    ) -> list[int]:
         """Single-sample reference forward pass through scalar EMACs."""
         current = [int(p) for p in patterns]
         for layer in self.layers:
-            current = layer.forward_scalar(current)
+            current = layer.forward_scalar(current, rounding_mode)
         return current
 
     def forward_values(self, inputs: np.ndarray) -> np.ndarray:
@@ -357,7 +307,7 @@ class PositronNetwork:
         rank gather straight into the last layer's round-once epilogue, so
         the readout never materializes output patterns either.
         """
-        out = np.asarray(patterns, dtype=np.uint32)
+        out = np.asarray(patterns)
         if out.ndim == 1:
             out = out[None, :]
         return self.network_kernel().predict(out)

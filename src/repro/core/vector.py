@@ -65,7 +65,7 @@ class VectorEngine:
         plan = self.backend.compile_network(
             [(weights, bias, "identity")], rounding_mode=rounding_mode
         )
-        return plan.forward(np.asarray(activations, dtype=np.uint32))
+        return plan.forward(activations)
 
     def relu(self, patterns: np.ndarray) -> np.ndarray:
         """Elementwise ReLU on patterns (negatives -> zero pattern)."""

@@ -165,11 +165,24 @@ def _scratch() -> _ScratchPool:
     return pool
 
 
+def _integer_patterns(patterns, limit: int, what: str) -> np.ndarray:
+    """The caller's patterns as int64, once they are integers in ``[0, limit)``.
+
+    The checks run on the array as given, before any cast, so a float is
+    rejected rather than truncated and an integer past ``limit`` rather than
+    wrapped onto a valid pattern.
+    """
+    p = np.asarray(patterns)
+    if p.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integer patterns, not {p.dtype}")
+    if p.size and (p.min() < 0 or p.max() >= limit):
+        raise ValueError(f"{what} pattern out of range")
+    return p.astype(np.int64, copy=False)
+
+
 def check_patterns(tables: LimbTables, patterns, what: str) -> np.ndarray:
     """Validate patterns against the decode tables; return them as int64."""
-    p = np.asarray(patterns, dtype=np.int64)
-    if p.size and (p.min() < 0 or p.max() >= tables.signed_sig.shape[0]):
-        raise ValueError(f"{what} pattern out of range")
+    p = _integer_patterns(patterns, tables.signed_sig.shape[0], what)
     if np.any(tables.invalid[p]):
         raise ValueError(f"{what} contains NaR/reserved patterns")
     return p
@@ -185,18 +198,16 @@ def check_format_patterns(backend: NumericFormat, patterns, what: str) -> np.nda
     tables = backend.limb_tables()
     if tables is not None:
         return check_patterns(tables, patterns, what)
-    p = np.asarray(patterns, dtype=np.int64)
-    if p.size and (p.min() < 0 or p.max() >= 1 << backend.width):
-        raise ValueError(f"{what} pattern out of range")
-    return p
+    return _integer_patterns(patterns, 1 << backend.width, what)
 
 
-def _check_weights(weights, bias) -> tuple[np.ndarray, np.ndarray | None]:
-    weights = np.asarray(weights, dtype=np.uint32)
+def _check_weights(backend, weights, bias) -> tuple[np.ndarray, np.ndarray | None]:
+    """One layer's validated weight and bias patterns, as int64."""
+    weights = check_format_patterns(backend, weights, "weights")
     if weights.ndim != 2:
         raise ValueError(f"weights must be 2-D (out, in); got shape {weights.shape}")
     if bias is not None:
-        bias = np.asarray(bias, dtype=np.uint32)
+        bias = check_format_patterns(backend, bias, "bias")
         if bias.shape != (weights.shape[0],):
             raise ValueError(f"bias must have shape ({weights.shape[0]},)")
     return weights, bias
@@ -556,7 +567,8 @@ class NetworkKernel:
     """A whole network compiled into one fused chained plan.
 
     ``layers`` is a sequence of ``(weights, bias, activation)`` triples
-    (patterns as uint32 arrays; activation ``"relu"`` or ``"identity"``).
+    (integer pattern arrays, ``bias`` may be ``None``; activation ``"relu"``
+    or ``"identity"``).
     :meth:`forward` returns the exact output patterns, bit-identical to
     one scalar EMAC per neuron with pattern ReLU between layers;
     :meth:`predict` returns rank-argmax class labels without materializing
@@ -579,7 +591,7 @@ class NetworkKernel:
         self.steps = []
         prev_out = None
         for i, (weights, bias, activation) in enumerate(layers):
-            weights, bias = _check_weights(weights, bias)
+            weights, bias = _check_weights(backend, weights, bias)
             if prev_out is not None and weights.shape[1] != prev_out:
                 raise ValueError(
                     f"layer {i} fan-in {weights.shape[1]} != previous "
@@ -610,14 +622,13 @@ class NetworkKernel:
                 )
             return _FixedStep(backend, weights, bias, activation, mode)
 
-        wp = check_patterns(tables, weights, "weights")
+        # ``weights`` and ``bias`` are validated int64 patterns.
         sig = tables.signed_sig.astype(np.float64)
         b_vals = None
         if bias is not None:
-            bp = check_patterns(tables, bias, "bias")
-            b_vals = np.ldexp(sig[bp], tables.shift[bp] + tables.bias_extra_shift)
+            b_vals = np.ldexp(sig[bias], tables.shift[bias] + tables.bias_extra_shift)
         words = _PlaneWords(
-            operand_values(backend), np.ldexp(sig[wp], tables.shift[wp]), b_vals
+            operand_values(backend), np.ldexp(sig[weights], tables.shift[weights]), b_vals
         )
         return _TableStep(backend, tables, words, activation, mode)
 

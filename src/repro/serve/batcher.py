@@ -164,7 +164,7 @@ class DeadlineExceeded(RuntimeError):
 class PendingRequest:
     """One enqueued request: quantized patterns plus its result future."""
 
-    patterns: np.ndarray  # (rows, in) uint32
+    patterns: np.ndarray  # (rows, in) integer patterns
     rows: int
     future: Any  # the asyncio.Future ``submit`` awaits
     enqueued: float  # loop time, for queue+execute latency
@@ -337,7 +337,8 @@ class MicroBatcher:
                 f"queue for {self.model.key} is saturated "
                 f"({self._queue.qsize()}/{self.queue_limit}); shedding load"
             )
-        patterns = np.asarray(patterns, dtype=np.uint32)
+        # No cast: the plan checks the caller's patterns as given.
+        patterns = np.asarray(patterns)
         if patterns.ndim != 2:
             raise ValueError("patterns must be 2-D (rows, features)")
         loop = asyncio.get_running_loop()

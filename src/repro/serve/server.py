@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import itertools
 import json
 import math
 import sys
@@ -494,13 +495,26 @@ class InferenceServer:
             inputs = np.asarray(raw, dtype=np.float64)
         except (TypeError, ValueError, OverflowError):  # or a huge integer
             raise HttpError(400, "'inputs' must be a numeric array") from None
+        if inputs.ndim == 1:
+            inputs, raw = inputs[None, :], [raw]
+        if inputs.ndim != 2 or inputs.shape[0] == 0:
+            raise HttpError(400, "'inputs' must be (rows, features), rows >= 1")
+        # The float cast also parses numeric strings and takes booleans.
+        # Refuse what numpy's dtype inference would not call numeric (any
+        # string cell, or only booleans) without inferring, which would
+        # size a string array by the longest string.  ``sum`` raises on a
+        # string in one pass; only a leading boolean costs a type pass.
+        try:
+            sum(itertools.chain.from_iterable(raw), 0.0)
+        except TypeError:
+            raise HttpError(400, "'inputs' must be a numeric array") from None
+        if inputs.size and type(raw[0][0]) is bool and {
+            *map(type, itertools.chain.from_iterable(raw))
+        } == {bool}:
+            raise HttpError(400, "'inputs' must be a numeric array")
         if not np.isfinite(inputs).all():
             # json.loads accepts NaN and Infinity; the quantizer does not.
             raise HttpError(400, "'inputs' must be finite numbers")
-        if inputs.ndim == 1:
-            inputs = inputs[None, :]
-        if inputs.ndim != 2 or inputs.shape[0] == 0:
-            raise HttpError(400, "'inputs' must be (rows, features), rows >= 1")
         if inputs.shape[1] != model.num_features:
             raise HttpError(
                 400,

@@ -1,4 +1,4 @@
-"""Vectorized ablation layer: bit-identity to the scalar references,
+"""Vectorized ablation layer: bit-identity to the scalar oracles,
 the naive product table, the store-cached grid, and (slow) the paper's
 directional exact-vs-naive claim over the full 3-dataset table."""
 
@@ -19,7 +19,6 @@ from repro.analysis.ablation import (
     naive_product_table,
     truncated_accuracy,
     truncated_forward,
-    truncated_forward_reference,
 )
 from repro.analysis.runner import run_ablation
 from repro.core import PositronNetwork
@@ -108,14 +107,20 @@ class TestNaiveProductTable:
             naive_product_table(formats.backend_for(standard_format(16, 1)))
 
 
+def truncated_oracle(net, inputs):
+    """Each row through the scalar EMACs, rounded toward zero."""
+    patterns = net.engine.quantize(np.asarray(inputs, dtype=np.float64))
+    return [net.forward_scalar(row, rounding_mode="rtz") for row in patterns]
+
+
 class TestTruncatedForward:
     def test_bit_identical_to_reference(self, iris_model, iris_networks):
         ds = iris_model.dataset
         subset = ds.test_x[:12]  # the full-set identity check lives in the bench
         for fmt, net in iris_networks.items():
             vec = truncated_forward(net, subset)
-            ref = [truncated_forward_reference(net, x) for x in subset]
-            assert [list(map(int, row)) for row in vec] == ref, str(fmt)
+            ref = truncated_oracle(net, subset)
+            assert vec.tolist() == ref, str(fmt)
 
     def test_nonposit_families(self, iris_model):
         """The mode pipeline is format-generic: float and fixed ablate too."""
@@ -124,14 +129,29 @@ class TestTruncatedForward:
         for fmt in (float_format(4, 3), fixed_format(8, 4)):
             net = PositronNetwork.from_float_params(fmt, weights, biases)
             vec = truncated_forward(net, ds.test_x[:8])
-            ref = [truncated_forward_reference(net, x) for x in ds.test_x[:8]]
-            assert [list(map(int, row)) for row in vec] == ref, str(fmt)
+            ref = truncated_oracle(net, ds.test_x[:8])
+            assert vec.tolist() == ref, str(fmt)
+
+    def test_single_sample(self, iris_model, iris_networks):
+        net = next(iter(iris_networks.values()))
+        x = iris_model.dataset.test_x[0]
+        assert truncated_forward(net, x).tolist() == truncated_oracle(net, [x])
 
     def test_accuracy_in_range(self, iris_model, iris_networks):
         ds = iris_model.dataset
         net = iris_networks[standard_format(6, 1)]
         acc = truncated_accuracy(net, ds.test_x, ds.test_y)
         assert 0.0 <= acc <= 1.0
+        predicted = np.argmax(
+            formats.backend_for(net.fmt).rank_table()[
+                truncated_forward(net, ds.test_x).astype(np.int64)
+            ],
+            axis=1,
+        )
+        assert acc == float(np.mean(predicted == ds.test_y))
+        # One 1-D sample is one row, as in ``truncated_forward``.
+        one = truncated_accuracy(net, ds.test_x[0], ds.test_y[:1])
+        assert one == float(predicted[0] == ds.test_y[0])
 
 
 class TestAblationGrid:

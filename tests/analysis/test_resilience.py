@@ -102,6 +102,34 @@ class TestSerialRetryPolicy:
             _grid_serial([SweepTask("iris", 5)], lambda d, w: {},
                          max_attempts=0)
 
+    @pytest.mark.parametrize("backoff", [-1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "parallel"])
+    def test_retry_backoff_must_be_finite_and_non_negative(
+        self, fresh_cache, jobs, backoff
+    ):
+        """Refused up front: a negative sleep would abort the first retry."""
+        calls = []
+        with pytest.raises(ValueError, match="retry_backoff_s"):
+            _run_grid(
+                [SweepTask("iris", 5)], lambda d, w: calls.append(w) or {},
+                sweep_task_key, None, jobs, lambda _: None,
+                retry_backoff_s=backoff,
+            )
+        assert calls == []
+
+    @pytest.mark.parametrize("backoff", ["-1", "nan"])
+    def test_cli_rejects_bad_retry_backoff_before_any_work(
+        self, fresh_cache, capsys, backoff
+    ):
+        from repro.__main__ import main
+
+        args = ["run", "sweep", "--jobs", "2", "--datasets", "iris",
+                "--widths", "5", "--retry-backoff", backoff]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "error: retry_backoff_s must be finite and >= 0\n"
+        assert not any(fresh_cache.iterdir())
+
     def test_attempts_are_per_task(self, fresh_cache):
         tasks = [SweepTask("iris", 5), SweepTask("iris", 6)]
         failures = {5: 1, 6: 1}  # each fails once, then succeeds

@@ -100,12 +100,13 @@ class TestAblations:
         assert truncated <= exact + 0.04
 
     def test_truncated_forward_is_valid_patterns(self, iris_model):
-        from repro.analysis import truncated_forward_reference
         from repro.core import PositronNetwork
 
         fmt = standard_format(8, 1)
         weights, biases = iris_model.model.export_params()
         net = PositronNetwork.from_float_params(fmt, weights, biases)
-        out = truncated_forward_reference(net, iris_model.dataset.test_x[0])
+        row = net.engine.quantize(iris_model.dataset.test_x[0])
+        out = net.forward_scalar(row, rounding_mode="rtz")
         assert len(out) == 3
         assert all(0 <= b < 256 for b in out)
+        assert fmt.nar_pattern not in out

@@ -87,23 +87,16 @@ def _scalar_dot(fmt, W, X, B=None, mode="rne"):
     return out
 
 
-def _scalar_forward(net, patterns):
-    """Scalar-EMAC oracle of ``net.forward_patterns`` in the net's mode.
+def _scalar_forward(net, patterns, mode="rne"):
+    """Scalar-EMAC oracle of ``net.network_kernel(mode).forward``.
 
-    ``"rne"`` runs ``forward_scalar`` row by row; ``"rtz"`` chains
-    :func:`_scalar_dot` per layer with pattern ReLU between layers.
+    Runs ``net.forward_scalar`` row by row: one scalar EMAC per neuron,
+    each rounded once in ``mode``, with pattern ReLU between layers.
     """
-    X = np.asarray(patterns, dtype=np.uint32)
-    if net.rounding_mode == "rne":
-        rows = [net.forward_scalar(row) for row in X]
-        return np.asarray(rows, dtype=np.uint32).reshape(
-            len(X), net.layers[-1].out_features
-        )
-    for layer in net.layers:
-        X = _scalar_dot(net.fmt, layer.weights, X, layer.bias, "rtz")
-        if layer.activation == "relu":
-            X = net.engine.relu(X)
-    return X
+    rows = [net.forward_scalar(row, rounding_mode=mode) for row in patterns]
+    return np.asarray(rows, dtype=np.uint32).reshape(
+        len(rows), net.layers[-1].out_features
+    )
 
 
 @pytest.fixture(scope="session")

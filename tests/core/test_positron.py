@@ -30,11 +30,23 @@ class TestConstruction:
         assert net.layers[-1].activation == "identity"
 
     def test_layer_size_mismatch(self, rng):
-        engine = engine_for(P8)
-        l1 = PositronLayer(P8, np.zeros((5, 4), np.uint32), np.zeros(5, np.uint32), "relu", engine)
-        l2 = PositronLayer(P8, np.zeros((3, 6), np.uint32), np.zeros(3, np.uint32), "identity", engine)
+        l1 = PositronLayer(P8, np.zeros((5, 4), np.uint32), np.zeros(5, np.uint32), "relu")
+        l2 = PositronLayer(P8, np.zeros((3, 6), np.uint32), np.zeros(3, np.uint32), "identity")
         with pytest.raises(ValueError):
             PositronNetwork(P8, [l1, l2])
+
+    def test_layer_of_another_format_rejected(self):
+        """A float layer in a posit network would run a posit plan over
+        float patterns; the constructor refuses it."""
+        f43 = float_format(4, 3)
+        layer = PositronLayer(
+            f43, np.zeros((3, 4), np.uint32), np.zeros(3, np.uint32), "identity"
+        )
+        with pytest.raises(ValueError, match="format"):
+            PositronNetwork(P8, [layer])
+        net = PositronNetwork(f43, [layer])
+        assert net.engine is engine_for(f43)
+        assert layer.engine is engine_for(f43)
 
     @pytest.mark.parametrize(
         "name, bad",
@@ -42,6 +54,8 @@ class TestConstruction:
             ("posit8_1", 0x80),  # NaR
             ("float4_3", 0b01111000),  # reserved (inf-like)
             ("fixed8_4", 300),  # outside 8-bit patterns
+            ("posit8_1", 1 << 32 | 24),  # a uint32 cast would wrap it to 24
+            ("fixed8_4", 1.7),  # a uint32 cast would truncate it to 1
         ],
     )
     @pytest.mark.parametrize("where", ["weights", "bias"])
@@ -50,7 +64,9 @@ class TestConstruction:
         fmt = formats.get(name).fmt
         weights = [np.zeros((3, 4), np.uint32), np.zeros((2, 3), np.uint32)]
         biases = [np.zeros(3, np.uint32), np.zeros(2, np.uint32)]
-        (weights if where == "weights" else biases)[1][0] = bad
+        arrays = weights if where == "weights" else biases
+        arrays[1] = arrays[1].astype(np.asarray(bad).dtype)
+        arrays[1][0] = bad
         with pytest.raises(ValueError, match=where):
             PositronNetwork.from_arrays(fmt, weights, biases)
 
@@ -62,14 +78,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PositronLayer(
                 P8, np.zeros((2, 2), np.uint32), np.zeros(2, np.uint32),
-                "sigmoid", engine_for(P8),
+                "sigmoid",
             )
 
     def test_bias_shape_check(self):
         with pytest.raises(ValueError):
             PositronLayer(
                 P8, np.zeros((2, 2), np.uint32), np.zeros(3, np.uint32),
-                "relu", engine_for(P8),
+                "relu",
             )
 
     def test_mismatched_array_counts(self):
@@ -162,42 +178,43 @@ class TestFusedPlanLifecycle:
         assert np.array_equal(after, scalar_forward(net, X))
         assert not np.array_equal(after, before)
 
-    def test_mode_twin_compiles_its_own_plan(self, rng, scalar_forward):
-        net, engine = tiny_network(P8, rng)
-        twin = net.with_rounding_mode("rtz")
-        assert twin.network_kernel() is not net.network_kernel()
-        X = engine.quantize(rng.normal(size=(5, 4)))
-        assert np.array_equal(twin.forward_patterns(X), scalar_forward(twin, X))
-        # recompile() on the parent reaches cached twins' layers too, so
-        # the twin's fused plan is invalidated along with the parent's.
-        twin_plan = twin.network_kernel()
-        net.recompile()
-        assert twin.network_kernel() is not twin_plan
-
-    def test_in_place_rounding_mode_reaches_the_plan(self, rng, scalar_forward):
-        """Layers switched to rtz in place, then recompile(): the plan
-        compiles in the layers' mode and ``rounding_mode`` reports it."""
+    def test_each_mode_compiles_its_own_plan(self, rng, scalar_forward):
+        """One cached plan per rounding mode, each pinned to the scalar
+        oracle in its mode; ``recompile()`` invalidates both."""
         net, engine = tiny_network(
             standard_format(8, 0), rng, topology=(6, 8, 3)
         )
         X = engine.quantize(rng.normal(scale=2.0, size=(200, 6)))
-        rne_out = net.forward_patterns(X).copy()  # warms the cached plan
-        for layer in net.layers:
-            layer.rounding_mode = "rtz"
+        rne, rtz = net.network_kernel(), net.network_kernel("rtz")
+        assert (rne.rounding_mode, rtz.rounding_mode) == ("rne", "rtz")
+        assert net.network_kernel("rne") is rne
+        assert net.network_kernel("rtz") is rtz
+        rtz_out = rtz.forward(X)
+        assert np.array_equal(rtz_out, scalar_forward(net, X, "rtz"))
+        assert not np.array_equal(rtz_out, net.forward_patterns(X))
         net.recompile()
-        assert net.rounding_mode == "rtz"
-        rtz_out = net.forward_patterns(X)
-        assert np.array_equal(rtz_out, scalar_forward(net, X))
-        assert not np.array_equal(rtz_out, rne_out)
+        assert net.network_kernel() is not rne
+        assert net.network_kernel("rtz") is not rtz
 
-    def test_in_place_mode_mismatch_rejected(self, rng):
+    def test_unknown_rounding_mode_rejected(self, rng):
+        net, engine = tiny_network(P8, rng)
+        with pytest.raises(ValueError, match="rounding mode"):
+            net.network_kernel("up")
+        with pytest.raises(ValueError, match="rounding mode"):
+            net.forward_scalar(engine.quantize(rng.normal(size=4)), "up")
+        assert "up" not in net._plans
+
+    @pytest.mark.parametrize("entry", ["forward_patterns", "predict_patterns"])
+    @pytest.mark.parametrize(
+        "bad", [1 << 32 | 24, 1.7], ids=["wrapping-int64", "float"]
+    )
+    def test_input_patterns_checked_before_any_cast(self, rng, entry, bad):
+        """2**32 + 24 would wrap onto pattern 24 and 1.7 truncate to 1."""
         net, _ = tiny_network(P8, rng)
-        net.network_kernel()
-        net.layers[0].rounding_mode = "rtz"
-        with pytest.raises(ValueError, match="inconsistent rounding modes"):
-            net.recompile()
-        with pytest.raises(ValueError, match="inconsistent rounding modes"):
-            net.network_kernel()
+        X = np.zeros((2, 4), dtype=np.asarray(bad).dtype)
+        X[1, 2] = bad
+        with pytest.raises(ValueError, match="activations"):
+            getattr(net, entry)(X)
 
     def test_predict_patterns_empty_batch(self, rng):
         net, _ = tiny_network(P8, rng)

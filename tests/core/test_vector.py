@@ -192,6 +192,24 @@ class TestValidation:
                 np.full((1, 2), 300, dtype=np.uint32), np.zeros((1, 2), np.uint32)
             )
 
+    @pytest.mark.parametrize(
+        "fmt", [standard_format(8, 1), fixed_format(8, 4)], ids=str
+    )
+    @pytest.mark.parametrize(
+        "bad", [1 << 32 | 24, 1.7], ids=["wrapping-int64", "float"]
+    )
+    @pytest.mark.parametrize("where", ["weights", "activations"])
+    def test_patterns_checked_before_any_cast(self, fmt, bad, where):
+        """2**32 + 24 would wrap onto pattern 24 and 1.7 truncate to 1."""
+        operands = {
+            "weights": np.zeros((2, 3), np.int64),
+            "activations": np.zeros((4, 3), np.int64),
+        }
+        operands[where] = operands[where].astype(np.asarray(bad).dtype)
+        operands[where][1, 2] = bad
+        with pytest.raises(ValueError, match=where):
+            engine_for(fmt).dot(operands["weights"], operands["activations"])
+
 
 class TestUnaryOps:
     def test_relu_matches_tables(self, rng):

@@ -2,11 +2,12 @@
 
 The fused :class:`~repro.formats.network.NetworkKernel` is the one
 production path for exact dot products, and it has one words path.  One
-differential property suite pins it to the scalar EMACs (``forward_scalar``
-for rne; the EMAC's exact accumulation rounded by ``truncate_scalar`` for
-rtz, with pattern ReLU between layers), bit for bit, over random 1-3-layer
-topologies, every format of ``FORMATS``, both rounding modes, maxpos-heavy
-weights that push the quire past 62 bits, and multi-plane layers.  Around
+differential suite pins it to the scalar EMACs (``forward_scalar`` in the
+plan's rounding mode, with pattern ReLU between layers), bit for bit: a
+network's ``network_kernel(mode)`` for every sweep candidate of widths 5-8
+in both modes, and plans of random 1-3-layer topologies over every format
+of ``FORMATS``, both rounding modes, maxpos-heavy weights that push the
+quire past 62 bits, and multi-plane layers.  Around
 it: the oracle-built round table against ``encode_from_quire_words`` over
 the whole single-word window, its O(1) bucket index against plain
 ``searchsorted``, the pattern-space ReLU composition against ``engine.relu``
@@ -31,6 +32,7 @@ from repro.fixedpoint import fixed_format
 from repro.floatp import float_format
 from repro.formats.network import NetworkKernel, operand_values
 from repro.formats.rounding import round_table
+from repro.nn.quantize import candidate_configs
 from repro.posit.format import standard_format
 
 #: posit<6,2>'s wide range (34-bit operand values) makes random weights
@@ -77,7 +79,7 @@ def table_fmt(request):
     return TABLE_FORMATS[request.param]
 
 
-def random_network(fmt, rng, topo, batch, rounding_mode="rne", maxpos=False):
+def random_network(fmt, rng, topo, batch, maxpos=False):
     """(layer triples, input patterns, PositronNetwork) on random params.
 
     ``maxpos`` sets about a fifth of the weights to the format's largest
@@ -95,9 +97,7 @@ def random_network(fmt, rng, topo, batch, rounding_mode="rne", maxpos=False):
         biases.append(
             scrub(fmt, rng.integers(0, hi, size=(o,), dtype=np.uint32))
         )
-    net = PositronNetwork.from_arrays(
-        fmt, weights, biases, rounding_mode=rounding_mode
-    )
+    net = PositronNetwork.from_arrays(fmt, weights, biases)
     layers = [(l.weights, l.bias, l.activation) for l in net.layers]
     X = scrub(fmt, rng.integers(0, hi, size=(batch, topo[0]), dtype=np.uint32))
     return layers, X, net
@@ -127,6 +127,7 @@ TABLE2_DEPLOYMENTS = (
 #: The Table II + Fig. 9 sweep grid: every candidate config of each width.
 GRID_DATASETS = ("wbc", "iris", "mushroom")
 GRID_WIDTHS = (5, 6, 7, 8)
+SWEEP_FORMATS = [c.fmt for n in GRID_WIDTHS for c in candidate_configs(n)]
 
 
 def deployment_plans():
@@ -233,10 +234,9 @@ class TestFusedBitIdentity:
         def check(seed, topo, batch, mode, maxpos):
             rng = np.random.default_rng(seed)
             layers, X, net = random_network(
-                fmt, rng, tuple(topo), batch, rounding_mode=mode,
-                maxpos=maxpos,
+                fmt, rng, tuple(topo), batch, maxpos=maxpos
             )
-            expected = scalar_forward(net, X)
+            expected = scalar_forward(net, X, mode)
             expected_pred = np.argmax(ranks[expected.astype(np.int64)], axis=1)
             plan = backend.compile_network(layers, rounding_mode=mode)
             for row in plan.explain():
@@ -255,6 +255,29 @@ class TestFusedBitIdentity:
             assert max(planes) >= 2
         if fmt == standard_format(8, 2):
             assert max(quire_bits) > 62
+
+    @pytest.mark.parametrize(
+        "fmt", SWEEP_FORMATS, ids=lambda f: formats.backend_for(f).name
+    )
+    def test_every_sweep_candidate_in_both_modes(self, scalar_forward, fmt):
+        """``network_kernel(mode)`` == ``forward_scalar(row, mode)``.
+
+        Every posit, float and fixed-point candidate of the sweep grid,
+        widths 5-8: a random network's fused plan in each rounding mode
+        gives the scalar oracle's output patterns in that mode, and
+        ``predict`` their rank argmax."""
+        ranks = formats.backend_for(fmt).rank_table()
+        rng = np.random.default_rng(fmt.n)
+        _, X, net = random_network(fmt, rng, (6, 5, 3), 8)
+        for mode in formats.ROUNDING_MODES:
+            expected = scalar_forward(net, X, mode)
+            plan = net.network_kernel(mode)
+            assert plan.rounding_mode == mode
+            assert np.array_equal(plan.forward(X), expected), mode
+            assert np.array_equal(
+                plan.predict(X),
+                np.argmax(ranks[expected.astype(np.int64)], axis=1),
+            ), mode
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -349,6 +372,29 @@ class TestPlanCompile:
         X[0, 0] = bad[0]
         with pytest.raises(ValueError, match="activations"):
             plan.forward(X)
+
+    def test_float_inputs_rejected_not_truncated(self, any_fmt):
+        """Float patterns are refused, not cast: 1.7 would run as 1."""
+        backend = formats.backend_for(any_fmt)
+        layers, X, _ = random_network(any_fmt, np.random.default_rng(3), (3, 2), 2)
+        plan = backend.compile_network(layers)
+        with pytest.raises(ValueError, match="activations must be integer"):
+            plan.forward(X + 0.7)
+        with pytest.raises(ValueError, match="activations must be integer"):
+            plan.predict(X.astype(bool))
+
+    @pytest.mark.parametrize(
+        "bad", [1 << 32 | 24, 1.7], ids=["wrapping-int64", "float"]
+    )
+    @pytest.mark.parametrize("where", ["weights", "bias"])
+    def test_layer_patterns_checked_before_any_cast(self, any_fmt, bad, where):
+        """2**32 + 24 would wrap onto pattern 24 and 1.7 truncate to 1."""
+        params = {"weights": np.zeros((2, 3), np.int64), "bias": np.zeros(2, np.int64)}
+        params[where] = params[where].astype(np.asarray(bad).dtype)
+        params[where][-1] = bad
+        backend = formats.backend_for(any_fmt)
+        with pytest.raises(ValueError, match=where):
+            backend.compile_network([(params["weights"], params["bias"], "relu")])
 
     def test_shape_mismatch_rejected(self, any_fmt):
         backend = formats.backend_for(any_fmt)

@@ -2,11 +2,12 @@
 
 ``encode_from_quire_batch(..., mode="rtz")`` (and the single-word sibling)
 must be bit-identical to ``truncate_scalar`` — the exact ``Fraction``
-reference the scalar rounding-mode ablation used — for every registered
+reference ``forward_scalar`` rounds with in ``"rtz"`` — for every registered
 format: negatives, exact-boundary ties, signed zero, saturation, empty
-batches, and both the limb and single-word entry points.  One-layer plans
-and the engines must carry the mode through (every plan path is covered
-in both modes by the differential suite in ``test_network_kernel.py``).
+batches, and both the limb and single-word entry points.  One-layer plans,
+the engines and a network's ``network_kernel(mode)`` must carry the mode
+through (every plan path is covered in both modes by the differential
+suite in ``test_network_kernel.py``).
 """
 
 from fractions import Fraction
@@ -266,41 +267,27 @@ def test_network_rounding_mode_threads_through_layers(rng):
     weights = [rng.uniform(-1, 1, size=(4, 3)), rng.uniform(-1, 1, size=(2, 4))]
     biases = [rng.uniform(-1, 1, size=4), rng.uniform(-1, 1, size=2)]
     net = PositronNetwork.from_float_params(fmt, weights, biases)
-    assert net.rounding_mode == "rne"
-    twin = net.with_rounding_mode("rtz")
-    assert twin.rounding_mode == "rtz"
-    assert twin.with_rounding_mode("rtz") is twin
-    assert net.with_rounding_mode("rne") is net
-    # The twin shares the pattern arrays and the memoized engine.
-    assert twin.layers[0].weights is net.layers[0].weights
-    assert twin.engine is net.engine
-    for layer in twin.layers:
-        assert layer.rounding_mode == "rtz"
-    assert twin.network_kernel().rounding_mode == "rtz"
+    rtz = net.network_kernel("rtz")
+    assert rtz.rounding_mode == "rtz"
+    assert net.network_kernel().rounding_mode == "rne"
+    # One plan per mode, cached: repeated ablation passes compile once.
+    assert net.network_kernel("rtz") is rtz
     x = rng.uniform(-2, 2, size=(9, 3))
     patterns = engine.quantize(x)
-    rne_out = net.forward_patterns(patterns)
-    rtz_out = twin.forward_patterns(patterns)
-    assert rne_out.shape == rtz_out.shape == (9, 2)
-    # Twins are cached: repeated ablation passes compile once, and the
-    # round trip comes back to the original network.
-    assert net.with_rounding_mode("rtz") is twin
-    assert twin.with_rounding_mode("rne") is net
-    with pytest.raises(ValueError, match="rounding mode"):
-        net.with_rounding_mode("stochastic")
-    # The constructor never silently recompiles caller-owned layers.
-    with pytest.raises(ValueError, match="inconsistent rounding modes"):
-        PositronNetwork(fmt, net.layers, rounding_mode="rtz")
-    # recompile() re-reads an in-place mode change.
-    layer = net.layers[0]
-    layer.rounding_mode = "rtz"
-    layer.recompile()
-    rtz_hidden = engine.relu(
-        engine.dot(layer.weights, patterns, layer.bias, rounding_mode="rtz")
+    # The mode reaches every layer: the rtz plan is the rtz layer dots
+    # chained through pattern ReLU.
+    hidden, readout = net.layers
+    expected = engine.dot(
+        readout.weights,
+        engine.relu(
+            engine.dot(hidden.weights, patterns, hidden.bias, rounding_mode="rtz")
+        ),
+        readout.bias,
+        rounding_mode="rtz",
     )
-    assert np.array_equal(layer.forward(patterns), rtz_hidden)
-    layer.rounding_mode = "up"
+    assert np.array_equal(rtz.forward(patterns), expected)
+    assert net.forward_patterns(patterns).shape == (9, 2)
     with pytest.raises(ValueError, match="rounding mode"):
-        layer.recompile()
-    layer.rounding_mode = "rne"
-    layer.recompile()
+        net.network_kernel("stochastic")
+    with pytest.raises(ValueError, match="rounding mode"):
+        hidden.forward_scalar(patterns[0], rounding_mode="up")

@@ -141,7 +141,7 @@ class TestFusedServingIdentity:
         scalar EMAC oracle, run one layer at a time."""
         model = toy_model()
         # build_served_model compiled the fused plan off the request path.
-        assert model.network._network_plan is not None
+        assert "rne" in model.network._plans
         x = toy_inputs(9)
         patterns = model.quantize(x)
         out = np.asarray(
@@ -466,6 +466,32 @@ class TestValidation:
             await batcher.close()
 
         asyncio.run(scenario())
+
+    @pytest.mark.parametrize("dtype, offset", [
+        (np.float64, 0.7), (np.int64, 2**32),
+    ])
+    def test_patterns_checked_before_any_cast(self, toy_inputs, dtype, offset):
+        """A float pattern is refused, not truncated, and an int64 past 32
+        bits is refused, not wrapped onto a valid pattern; the bad
+        request's batchmate is still answered."""
+        model = toy_model()
+        good = model.quantize(toy_inputs(1))
+        bad = good.astype(dtype) + offset
+
+        async def scenario():
+            batcher = MicroBatcher(model, max_batch=8, max_delay_ms=50.0)
+            results = await asyncio.gather(
+                batcher.submit(good), batcher.submit(bad),
+                return_exceptions=True,
+            )
+            await batcher.close()
+            return results
+
+        ok, err = asyncio.run(scenario())
+        assert isinstance(err, ValueError)
+        np.testing.assert_array_equal(
+            ok, model.network.predict_patterns(good)
+        )
 
     def test_mismatched_width_batch_fails_cleanly_and_batcher_survives(
         self, toy_inputs

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,12 +22,13 @@ import numpy as np
 import pytest
 
 from repro.serve import (
+    InferenceServer,
     ModelRegistry,
     ServeClient,
     ServeError,
     start_in_thread,
 )
-from repro.serve.http import ROUTES
+from repro.serve.http import ROUTES, HttpError
 from repro.serve.registry import build_served_model
 
 from .conftest import tiny_loader
@@ -36,6 +38,9 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: A JSON integer past float64's range.
 HUGE = int("1" + "0" * 400)
+
+#: A long numeric string: float64 parses it (to 0.0), but it is text.
+LONG = "0." + "0" * 4000 + "1"
 
 _X = [[0.1, -0.2, 0.3, 0.4]]
 _KEY = {"dataset": "toy", "format": "posit8_1"}
@@ -68,6 +73,14 @@ CLIENT_ERRORS = [
      "posit99_99"),
     ("POST", "/predict", dict(_KEY), 400, "missing 'inputs'"),
     ("POST", "/predict", {**_KEY, "inputs": [["x", 1, 2, 3]]}, 400,
+     "numeric"),
+    ("POST", "/predict", {**_KEY, "inputs": [["1.5", 1, 2, 3]]}, 400,
+     "numeric"),
+    ("POST", "/predict", {**_KEY, "inputs": [[True, False, True, True]]}, 400,
+     "numeric"),
+    ("POST", "/predict", {**_KEY, "inputs": [_X[0], [0.1, 0.2, 0.3, "0.4"]]},
+     400, "numeric"),
+    ("POST", "/predict", {**_KEY, "inputs": [[LONG, 1, 2, 3]]}, 400,
      "numeric"),
     ("POST", "/predict", {**_KEY, "inputs": [[HUGE, 1, 2, 3]]}, 400,
      "numeric"),
@@ -231,6 +244,21 @@ class TestErrorPaths:
                 {"dataset": "toy", "format": "posit8_1", "inputs": ["x"]},
             )
         assert err.value.status == 400
+
+    def test_string_cells_are_refused_in_bounded_memory(self):
+        """A long string among many short ones is refused without an array
+        sized by the longest: numpy's inferred dtype would hold every cell
+        as 4003 characters, 1001 x 4003 x 4 bytes = 16 MB here."""
+        model = build_served_model("toy", "posit8_1", tiny_loader)
+        payload = {"inputs": [[LONG] + ["1"] * 1000]}
+        tracemalloc.start()
+        try:
+            with pytest.raises(HttpError, match="numeric"):
+                InferenceServer._quantize_inputs(model, payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("fmt", ["posit8_1", "float3_4", "fixed8_4"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
