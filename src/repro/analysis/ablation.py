@@ -44,7 +44,8 @@ from .. import formats
 from ..core.positron import PositronNetwork
 from ..core.vector import engine_for
 from ..nn.quantize import candidate_configs, quantize_nearest
-from .store import artifact_store, content_key, store_enabled
+from .cache import cache_enabled
+from .store import artifact_store, content_key
 from .sweep import EXPERIMENTS, model_key, trained_model
 
 __all__ = [
@@ -283,7 +284,7 @@ def ablation_width(dataset_name: str, n: int) -> dict:
     individually in the content-addressed store; this is the resume
     granularity of ``python -m repro run ablation``.
     """
-    if not store_enabled():
+    if not cache_enabled():
         return _ablation_width_uncached(dataset_name, n)
     store = artifact_store()
     key = ablation_task_key(dataset_name, n)

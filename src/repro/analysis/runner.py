@@ -42,7 +42,8 @@ from typing import Callable, Sequence
 
 from .. import faults
 from .ablation import ABLATION_WIDTHS, ablation_task_key, ablation_width
-from .store import artifact_store, store_enabled
+from .cache import cache_enabled
+from .store import artifact_store
 from .sweep import (
     EXPERIMENTS,
     _table2_row,
@@ -321,7 +322,7 @@ def _run_grid(
 
     pending: list[SweepTask] = []
     store = artifact_store()
-    if store_enabled():
+    if cache_enabled():
         for task in tasks:
             cached = store.load_result(task_key(task.dataset, task.width))
             if cached is not None:
@@ -335,7 +336,7 @@ def _run_grid(
     else:
         pending = list(tasks)
 
-    if pending and store_enabled():
+    if pending and cache_enabled():
         _pretrain_parents(pending, jobs, progress)
 
     # Phase 2: fan pending tasks out, round by round.  One round = one
@@ -397,7 +398,7 @@ def _run_grid(
                 suspects = []
                 innocents = []
                 for task in crashed:
-                    if store_enabled():
+                    if cache_enabled():
                         cached = store.load_result(
                             task_key(task.dataset, task.width)
                         )

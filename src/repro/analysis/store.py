@@ -47,12 +47,11 @@ from .cache import (
     POINT_PUBLISH,
     atomic_write_json,
     cache_dir,
-    cache_enabled,
     fsync_dir,
     unique_tmp,
 )
 
-__all__ = ["content_key", "ArtifactStore", "artifact_store", "store_enabled"]
+__all__ = ["content_key", "ArtifactStore", "artifact_store"]
 
 #: Bump when the serialized artifact layout changes incompatibly; it is
 #: hashed into every key, so old artifacts are orphaned, not misread.
@@ -230,7 +229,3 @@ def artifact_store() -> ArtifactStore:
     """
     return ArtifactStore()
 
-
-def store_enabled() -> bool:
-    """Whether artifacts should be persisted (``REPRO_NO_CACHE`` unset)."""
-    return cache_enabled()

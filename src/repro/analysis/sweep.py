@@ -31,7 +31,8 @@ from ..nn.metrics import degradation
 from ..nn.model import MLP
 from ..nn.quantize import FormatConfig, candidate_configs
 from ..nn.train import TrainConfig, train_classifier
-from .store import artifact_store, content_key, store_enabled
+from .cache import cache_enabled
+from .store import artifact_store, content_key
 
 __all__ = [
     "EXPERIMENTS",
@@ -170,7 +171,7 @@ def trained_model(dataset_name: str) -> TrainedModel:
     dataset = _LOADERS[dataset_name]()
     if dataset.num_features != spec.topology[0]:
         raise AssertionError("topology/feature mismatch")
-    if store_enabled():
+    if cache_enabled():
         store = artifact_store()
         key = model_key(spec)
         cached = store.load_model(key)
@@ -182,7 +183,7 @@ def trained_model(dataset_name: str) -> TrainedModel:
                     spec, dataset, model, float(meta["float32_accuracy"])
                 )
     model, baseline = _train_parent(spec, dataset)
-    if store_enabled():
+    if cache_enabled():
         artifact_store().save_model(
             model_key(spec),
             model.export_arrays(),
@@ -268,7 +269,7 @@ def sweep_width(dataset_name: str, n: int) -> dict:
     of the parallel runner: an interrupted run recomputes only the tasks
     whose artifacts are missing.
     """
-    if not store_enabled():
+    if not cache_enabled():
         return _sweep_width_uncached(dataset_name, n)
     store = artifact_store()
     key = sweep_task_key(dataset_name, n)

@@ -8,7 +8,7 @@ maximum magnitude (the EMAC datapath never overflows to infinity), a scalar
 from .format import FloatFormat, binary16, float8_143, float8_152, float_format
 from .codec import DecodedFloat, decode, encode_exact, encode_float, encode_fraction
 from .value import FloatP
-from .tables import FloatTables, dequantize_array, quantize_array, tables_for
+from .tables import FloatTables, dequantize_array, tables_for
 
 __all__ = [
     "FloatFormat",
@@ -24,6 +24,5 @@ __all__ = [
     "FloatP",
     "FloatTables",
     "tables_for",
-    "quantize_array",
     "dequantize_array",
 ]

@@ -30,6 +30,7 @@ from .quire import (
     arithmetic_shift_round,
     bit_length_int64,
     check_rounding_mode,
+    floats_as_quire,
     normalize_quire_limbs,
     round_kept_bits,
     words_as_quire,
@@ -63,6 +64,7 @@ __all__ = [
     "NormalizedQuire",
     "arithmetic_shift_round",
     "check_rounding_mode",
+    "floats_as_quire",
     "normalize_quire_limbs",
     "round_kept_bits",
     "words_as_quire",

@@ -8,9 +8,16 @@ everything the rest of the library needs:
 * **decode tables** (:class:`LimbTables`) feeding the compiled plans, or
   ``None`` for fixed point, whose plans run the same exact float64 GEMMs
   over its signed integers;
-* **batched kernels** — ``quantize_batch`` / ``decode_batch`` /
-  ``relu_batch`` and the fully vectorized ``encode_from_quire_batch``
-  round-once output stage;
+* **one vectorized rounding**, ``encode_normalized``: a batch of exact
+  values in sign/magnitude form (:class:`~repro.formats.quire.NormalizedQuire`)
+  to patterns, in either rounding mode.  Everything else that rounds
+  runs it: the base class's ``encode_from_quire_batch`` (wide quires as
+  limbs) and ``quantize_reference`` (float inputs, the input round
+  tables' oracle), and the word round tables' oracle (single-word quires,
+  see :mod:`repro.formats.rounding`);
+* **batched kernels** — ``quantize_batch`` (by default a round-table
+  lookup), ``decode_batch`` and ``relu_batch``, which check that the
+  caller's patterns are integers in range before any cast;
 * **the scalar reference EMAC factory** ``make_scalar_emac``, and the
   shared vectorized engine ``engine()`` that delegates to this backend
   (both imported lazily so ``repro.formats`` never depends on
@@ -32,7 +39,24 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["LimbTables", "NumericFormat"]
+from .quire import NormalizedQuire, floats_as_quire, normalize_quire_limbs
+
+__all__ = ["LimbTables", "NumericFormat", "integer_patterns"]
+
+
+def integer_patterns(patterns, limit: int, what: str) -> np.ndarray:
+    """The caller's patterns as int64, once they are integers in ``[0, limit)``.
+
+    The checks run on the array as given, before any cast, so a float is
+    rejected rather than truncated and an integer past ``limit`` rather than
+    wrapped onto a valid pattern.
+    """
+    p = np.asarray(patterns)
+    if p.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integer patterns, not {p.dtype}")
+    if p.size and (p.min() < 0 or p.max() >= limit):
+        raise ValueError(f"{what} pattern out of range")
+    return p.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -145,10 +169,12 @@ class NumericFormat(ABC):
 
         return input_table(self).quantize(values)
 
-    @abstractmethod
     def quantize_reference(self, values: np.ndarray) -> np.ndarray:
-        """The family's own vectorized quantizer: the oracle input round
-        tables are built against, and the reference tests pin them to."""
+        """float64 array -> patterns, rounded to nearest by
+        :meth:`encode_normalized`: the oracle the input round tables are
+        built against.  NaN and +-Inf raise ``ValueError``."""
+        q = floats_as_quire(values, self.quire_lsb_exponent)
+        return self.encode_normalized(q, "rne")
 
     def round_boundaries(self, mode: str = "rne"):
         """Closed-form breakpoints of this family's rounding, or ``None``.
@@ -168,15 +194,34 @@ class NumericFormat(ABC):
         values = values[np.isfinite(values)]
         return values, values < 0
 
+    def _patterns(self, patterns) -> np.ndarray:
+        """The caller's patterns as int64, checked before any cast to be
+        integers in ``[0, 2**width)``; NaR and reserved patterns pass."""
+        return integer_patterns(patterns, 1 << self.width, "input")
+
     @abstractmethod
     def decode_batch(self, patterns: np.ndarray) -> np.ndarray:
-        """Patterns -> float64 values."""
+        """Patterns -> float64 values (NaR and reserved patterns -> NaN)."""
 
     @abstractmethod
     def relu_batch(self, patterns: np.ndarray) -> np.ndarray:
-        """Elementwise ReLU on patterns (negatives -> zero pattern)."""
+        """Elementwise ReLU on patterns (negatives, NaR and reserved
+        patterns -> zero pattern)."""
 
     @abstractmethod
+    def encode_normalized(
+        self, q: NormalizedQuire, mode: str = "rne"
+    ) -> np.ndarray:
+        """Round a batch of exact values to uint32 patterns, once.
+
+        ``q`` views each value sign/magnitude
+        (:class:`~repro.formats.quire.NormalizedQuire`, LSB weight
+        ``2**quire_lsb_exponent``).  The result is bit-identical to the
+        scalar reference of ``mode``: the scalar encoder for ``"rne"``,
+        ``truncate_scalar`` for ``"rtz"``.  This is the family's one
+        vectorized rounding; the other entry points are derived from it.
+        """
+
     def encode_from_quire_batch(
         self, limbs: np.ndarray, *, mode: str = "rne"
     ) -> np.ndarray:
@@ -184,29 +229,9 @@ class NumericFormat(ABC):
 
         Limbs are unnormalized int64 digits of weight ``2**(i * LIMB_BITS)``
         over a quire whose LSB weighs ``2**quire_lsb_exponent``.  Returns a
-        ``(...)`` uint32 pattern array, bit-identical to rounding each quire
-        once with the scalar reference of the requested ``mode``: the
-        scalar encoder for ``"rne"``, ``truncate_scalar`` for ``"rtz"``.
+        ``(...)`` uint32 pattern array from :meth:`encode_normalized`.
         """
-
-    def encode_from_quire_words(
-        self, words: np.ndarray, *, mode: str = "rne"
-    ) -> np.ndarray:
-        """Round exact *single-word* quires (int64 ``words`` of quire LSBs).
-
-        A plan proves, per weight matrix, when every possible quire fits
-        one int64 (see :mod:`repro.formats.network`); such layers skip limb
-        normalization, and their round-once stage is a round table proven
-        once against this method (:func:`~repro.formats.rounding.round_table`).
-        The default routes through :meth:`encode_from_quire_batch`; table
-        backends override it with a direct sign/magnitude encode.
-        """
-        words = np.asarray(words, dtype=np.int64)
-        # Four limbs: |word| < 2**62 leaves the top limb as pure sign
-        # extension, as normalization requires.
-        limbs = np.zeros(words.shape + (4,), dtype=np.int64)
-        limbs[..., 0] = words
-        return self.encode_from_quire_batch(limbs, mode=mode)
+        return self.encode_normalized(normalize_quire_limbs(limbs), mode)
 
     # -- scalar reference hooks -----------------------------------------
     @abstractmethod

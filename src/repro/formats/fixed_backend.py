@@ -3,12 +3,14 @@
 Fixed point needs no decode tables (patterns *are* scaled integers), so
 ``limb_tables`` returns ``None`` and every plan layer computes exact
 float64 digit-plane GEMMs over the signed integers (``_FixedStep`` in
-:mod:`repro.formats.network`).  Plans support ``n <= 16``; compiling one
-for a wider format raises ``ValueError``.
-``encode_from_quire_batch`` is still provided — it applies the paper's
-Fig. 3 output stage (shift right by ``q`` with floor, then clip) to quires
-expressed as limbs, so the backend protocol is uniform across families and
-the round-off property tests cover all of them.
+:mod:`repro.formats.network`), with the Fig. 3 epilogue inline.  Plans
+support ``n <= 16``; compiling one for a wider format raises
+``ValueError``.  ``encode_normalized`` is still provided — it applies the
+paper's Fig. 3 output stage (shift right by ``q`` with floor, then clip) to
+quires, so the backend protocol is uniform across families and the
+round-off property tests cover all of them.  Input quantization keeps its
+own arithmetic round-to-nearest-even (``quantize_batch`` and
+``quantize_reference``), because it is not the floor output stage.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from ..fixedpoint import codec as fx
 from ..fixedpoint.format import FixedFormat
 from .base import NumericFormat
-from .quire import arithmetic_shift_round, normalize_quire_limbs
+from .quire import NormalizedQuire, arithmetic_shift_round
 
 __all__ = ["FixedBackend"]
 
@@ -54,17 +56,16 @@ class FixedBackend(NumericFormat):
         return fx.quantize_array(self.fmt, values)
 
     def decode_batch(self, patterns: np.ndarray) -> np.ndarray:
-        return fx.dequantize_array(self.fmt, patterns)
+        return fx.dequantize_array(self.fmt, self._patterns(patterns))
 
     def relu_batch(self, patterns: np.ndarray) -> np.ndarray:
-        return fx.relu_patterns(self.fmt, patterns)
+        return fx.relu_patterns(self.fmt, self._patterns(patterns))
 
     # ------------------------------------------------------------------
-    def encode_from_quire_batch(
-        self, limbs: np.ndarray, *, mode: str = "rne"
+    def encode_normalized(
+        self, q: NormalizedQuire, mode: str = "rne"
     ) -> np.ndarray:
         fmt = self.fmt
-        q = normalize_quire_limbs(limbs)
         # Quires small enough to matter fit entirely in ``top`` (< 2**60);
         # anything wider saturates after the >> q output shift anyway.
         # ("rne" names the paper's native Fig. 3 floor stage, keeping the

@@ -1,10 +1,13 @@
 """Small-float backend: decode tables + batched IEEE-style RNE rounding.
 
-``encode_from_quire_batch`` mirrors :func:`repro.floatp.codec.encode_exact`
+``encode_normalized`` mirrors :func:`repro.floatp.codec.encode_exact`
 tensor-wide: the kept significand window (normal or subnormal) is sliced out
-of the normalized quire top, guard/sticky rounding is applied, and the
+of the normalized magnitude's top, guard/sticky rounding is applied, and the
 carry-out / overflow / subnormal cases are resolved with ``np.where`` chains
-— bit-identical to the scalar encoder, including signed-zero underflow.
+— bit-identical to the scalar encoder, including signed-zero underflow and
+a ``-0.0`` input, which keeps its sign.  It rounds wide quires, the word
+round tables' single-word quires and the input round tables' float64
+inputs alike (:mod:`repro.formats.base` derives those entry points).
 """
 
 from __future__ import annotations
@@ -21,9 +24,7 @@ from .quire import (
     NormalizedQuire,
     bit_length_int64,
     check_rounding_mode,
-    normalize_quire_limbs,
     round_kept_bits,
-    words_as_quire,
 )
 
 __all__ = ["FloatBackend"]
@@ -69,33 +70,20 @@ class FloatBackend(NumericFormat):
             bias_extra_shift=(1 - fmt.bias) - fmt.wf - 2 * fmt.min_scale,
         )
 
-    def quantize_reference(self, values: np.ndarray) -> np.ndarray:
-        return ft.quantize_array(self.fmt, values)
-
     def round_boundaries(self, mode: str = "rne"):
         if mode == "rne":
             return ft.rounding_boundaries(self.fmt)
         return super().round_boundaries(mode)
 
     def decode_batch(self, patterns: np.ndarray) -> np.ndarray:
-        return ft.dequantize_array(self.fmt, patterns)
+        return ft.dequantize_array(self.fmt, self._patterns(patterns))
 
     def relu_batch(self, patterns: np.ndarray) -> np.ndarray:
         t = ft.tables_for(self.fmt)
-        return t.relu[np.asarray(patterns, dtype=np.int64)].astype(np.uint32)
+        return t.relu[self._patterns(patterns)].astype(np.uint32)
 
     # ------------------------------------------------------------------
-    def encode_from_quire_batch(
-        self, limbs: np.ndarray, *, mode: str = "rne"
-    ) -> np.ndarray:
-        return self._encode_normalized(normalize_quire_limbs(limbs), mode)
-
-    def encode_from_quire_words(
-        self, words: np.ndarray, *, mode: str = "rne"
-    ) -> np.ndarray:
-        return self._encode_normalized(words_as_quire(words), mode)
-
-    def _encode_normalized(
+    def encode_normalized(
         self, q: NormalizedQuire, mode: str = "rne"
     ) -> np.ndarray:
         check_rounding_mode(mode)
@@ -138,7 +126,8 @@ class FloatBackend(NumericFormat):
         pattern = np.where(scale > fmt.max_scale, np.int64(max_pattern), pattern)
         pattern = np.where(rounded == 0, np.int64(0), pattern)
         pattern = pattern + sign_term  # signed zero included, as in the scalar
-        pattern = np.where(q.is_zero, np.int64(0), pattern)
+        # An exact zero keeps its sign: only a -0.0 input carries one.
+        pattern = np.where(q.is_zero, sign_term, pattern)
         return pattern.astype(np.uint32)
 
     def encode_from_quire_scalar(self, quire: int) -> int:

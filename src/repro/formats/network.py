@@ -4,8 +4,8 @@ Every exact dot product in the library — a whole network's forward, one
 ``PositronLayer.forward``, one ``VectorEngine.dot`` — runs through a
 :class:`NetworkKernel` plan (a single layer is a one-layer plan).  Computed
 layer by layer, a forward would pay a full generic epilogue at every layer
-boundary: the quire words run through the ~30-operation
-``encode_from_quire_words`` rounding chain, ReLU is a separate gather pass,
+boundary: the quire words run through the backend's ~30-operation
+``encode_normalized`` rounding chain, ReLU is a separate gather pass,
 and the next layer re-validates every activation pattern.  Profiling a
 paper-sized posit8 network shows that epilogue machinery — not the GEMMs —
 dominates such a forward.
@@ -20,8 +20,8 @@ patterns (and usually not even as patterns — see *operand fusion* below):
   breakpoints over the int64 window ``|word| <= 2**62``, each seeded in
   closed form and proven by one call of the backend's own encoder on
   either side, so the round-once stage becomes an O(1) bucket lookup plus
-  one table gather — bit-identical to ``encode_from_quire_words``, for
-  both rounding modes.
+  one table gather — bit-identical to the encoder, for both rounding
+  modes.
 * **Operand fusion.** The gather does not produce patterns and stop: the
   slot table is pre-composed with this layer's pattern-space ReLU map and
   with whatever representation the *next* layer consumes (its exact
@@ -56,8 +56,8 @@ maxpos-heavy weights, 12-bit formats — adds its shifted plane sums modulo
 and keeps beside them the float64 bound ``sum |plane sum| * 2**shift +
 |bias|``, whose terms are all non-negative so no cancellation can hide an
 out-of-window quire.  Quires whose bound is below ``2**61`` take the round
-table.  The rest are rounded by the backend's own
-``encode_from_quire_batch`` from exact limbs assembled out of the same
+table.  The rest are rounded by the same encoder
+(``encode_from_quire_batch``) from exact limbs assembled out of the same
 plane sums, then pass through the same epilogue indexed by pattern — exact
 at any quire width.
 
@@ -100,7 +100,7 @@ import threading
 import numpy as np
 
 from ..fixedpoint import codec as fx
-from .base import LimbTables, NumericFormat
+from .base import LimbTables, NumericFormat, integer_patterns
 from .fixed_backend import FixedBackend
 from .quire import LIMB_BITS, arithmetic_shift_round, check_rounding_mode
 from .rounding import round_table
@@ -165,24 +165,9 @@ def _scratch() -> _ScratchPool:
     return pool
 
 
-def _integer_patterns(patterns, limit: int, what: str) -> np.ndarray:
-    """The caller's patterns as int64, once they are integers in ``[0, limit)``.
-
-    The checks run on the array as given, before any cast, so a float is
-    rejected rather than truncated and an integer past ``limit`` rather than
-    wrapped onto a valid pattern.
-    """
-    p = np.asarray(patterns)
-    if p.dtype.kind not in "iu":
-        raise ValueError(f"{what} must be integer patterns, not {p.dtype}")
-    if p.size and (p.min() < 0 or p.max() >= limit):
-        raise ValueError(f"{what} pattern out of range")
-    return p.astype(np.int64, copy=False)
-
-
 def check_patterns(tables: LimbTables, patterns, what: str) -> np.ndarray:
     """Validate patterns against the decode tables; return them as int64."""
-    p = _integer_patterns(patterns, tables.signed_sig.shape[0], what)
+    p = integer_patterns(patterns, tables.signed_sig.shape[0], what)
     if np.any(tables.invalid[p]):
         raise ValueError(f"{what} contains NaR/reserved patterns")
     return p
@@ -198,7 +183,7 @@ def check_format_patterns(backend: NumericFormat, patterns, what: str) -> np.nda
     tables = backend.limb_tables()
     if tables is not None:
         return check_patterns(tables, patterns, what)
-    return _integer_patterns(patterns, 1 << backend.width, what)
+    return integer_patterns(patterns, 1 << backend.width, what)
 
 
 def _check_weights(backend, weights, bias) -> tuple[np.ndarray, np.ndarray | None]:

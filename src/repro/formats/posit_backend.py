@@ -1,12 +1,14 @@
 """Posit backend: decode tables + batched Algorithm-2 convergent rounding.
 
-``encode_from_quire_batch`` is the vectorized mirror of
-:func:`repro.posit.encode.encode_exact`: the quire magnitude's top bits are
+``encode_normalized`` is the vectorized mirror of
+:func:`repro.posit.encode.encode_exact`: the magnitude's top bits are
 normalized so the hidden bit sits at a fixed position, the regime /
 exponent / fraction body is assembled in pattern space with a padded
 fraction window, and the classic ``guard AND (lsb OR sticky)`` increment is
 applied to the truncated pattern — bit-identical to the scalar encoder by
-construction (and by the property tests).
+construction (and by the property tests).  It rounds wide quires, the word
+round tables' single-word quires and the input round tables' float64
+inputs alike (:mod:`repro.formats.base` derives those entry points).
 """
 
 from __future__ import annotations
@@ -20,13 +22,7 @@ from ..posit.decode import decode as posit_decode
 from ..posit.encode import encode_exact, encode_fraction
 from ..posit.format import PositFormat
 from .base import LimbTables, NumericFormat
-from .quire import (
-    NormalizedQuire,
-    check_rounding_mode,
-    normalize_quire_limbs,
-    round_kept_bits,
-    words_as_quire,
-)
+from .quire import NormalizedQuire, check_rounding_mode, round_kept_bits
 
 __all__ = ["PositBackend"]
 
@@ -76,33 +72,20 @@ class PositBackend(NumericFormat):
             bias_extra_shift=fmt.max_fraction_bits - fmt.min_scale,
         )
 
-    def quantize_reference(self, values: np.ndarray) -> np.ndarray:
-        return pt.quantize_array(self.fmt, values)
-
     def round_boundaries(self, mode: str = "rne"):
         if mode == "rne":
             return pt.rounding_boundaries(self.fmt)
         return super().round_boundaries(mode)
 
     def decode_batch(self, patterns: np.ndarray) -> np.ndarray:
-        return pt.dequantize_array(self.fmt, patterns)
+        return pt.dequantize_array(self.fmt, self._patterns(patterns))
 
     def relu_batch(self, patterns: np.ndarray) -> np.ndarray:
         t = pt.tables_for(self.fmt)
-        return t.relu[np.asarray(patterns, dtype=np.int64)].astype(np.uint32)
+        return t.relu[self._patterns(patterns)].astype(np.uint32)
 
     # ------------------------------------------------------------------
-    def encode_from_quire_batch(
-        self, limbs: np.ndarray, *, mode: str = "rne"
-    ) -> np.ndarray:
-        return self._encode_normalized(normalize_quire_limbs(limbs), mode)
-
-    def encode_from_quire_words(
-        self, words: np.ndarray, *, mode: str = "rne"
-    ) -> np.ndarray:
-        return self._encode_normalized(words_as_quire(words), mode)
-
-    def _encode_normalized(
+    def encode_normalized(
         self, q: NormalizedQuire, mode: str = "rne"
     ) -> np.ndarray:
         check_rounding_mode(mode)

@@ -1,24 +1,26 @@
-"""Batched quire normalization for the vectorized round-once path.
+"""Sign/magnitude quire views for the one vectorized round-once encoder.
 
-Quires too wide for one int64 word (a wide plan layer's far quires, see
-:mod:`repro.formats.network`) arrive as unnormalized base-``2**LIMB_BITS``
-limbs (see :mod:`repro.core.accumulator`).
-The seed implementation reconstituted each quire as a Python big integer and
-rounded it with the scalar encoder — a per-(sample, neuron) Python loop that
-dominated engine runtime.  This module replaces that loop with whole-tensor
-numpy:
+Every family rounds through one method,
+:meth:`~repro.formats.NumericFormat.encode_normalized`, which reads a
+:class:`NormalizedQuire`: the value of each quire is
+``(-1)**sign * ((top << shift) + low) * 2**lsb_exponent`` with
+``low != 0`` iff ``sticky``.  That is everything a backend needs to finish
+rounding without leaving numpy.  Three adapters build the view:
 
-1. carry-propagate the limbs into canonical non-negative digits plus a final
-   sign carry (the headroom limb guarantees the carry is 0 or -1);
-2. two's-complement negative quires back to magnitudes, digit-wise;
-3. extract the top three limbs around the highest nonzero digit into a
-   single int64 ``top`` (<= 60 bits — more than any n <= 16 format needs to
-   round correctly) plus an exact ``sticky`` flag for every bit below.
-
-The resulting :class:`NormalizedQuire` carries everything a format backend
-needs to finish round-to-nearest-even without ever leaving numpy: the value
-of each quire is ``(-1)**sign * ((top << shift) + low) * 2**lsb_exponent``
-with ``low != 0`` iff ``sticky``.
+* :func:`normalize_quire_limbs` — quires too wide for one int64 word (a
+  wide plan layer's far quires, see :mod:`repro.formats.network`), given as
+  unnormalized base-``2**LIMB_BITS`` limbs (see
+  :mod:`repro.core.accumulator`).  It carry-propagates the limbs into
+  canonical non-negative digits plus a sign carry (the headroom limb keeps
+  it 0 or -1), turns negative quires back into magnitudes digit-wise, and
+  gathers the top three limbs around the highest nonzero digit into one
+  int64 ``top`` (<= 60 bits, more than any n <= 16 format needs to round
+  correctly) plus an exact ``sticky`` flag for every bit below;
+* :func:`words_as_quire` — single-word quires, the word round tables'
+  oracle input;
+* :func:`floats_as_quire` — finite float64 inputs, each its exact 53-bit
+  significand at a (possibly negative) shift, the input round tables'
+  oracle input.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "NormalizedQuire",
     "arithmetic_shift_round",
     "check_rounding_mode",
+    "floats_as_quire",
     "normalize_quire_limbs",
     "round_kept_bits",
     "words_as_quire",
@@ -136,10 +139,10 @@ def words_as_quire(words: np.ndarray) -> NormalizedQuire:
     """Sign/magnitude view of *single-word* exact quires.
 
     Each int64 ``word`` is a whole quire value in quire-LSB units
-    (``|word| < 2**62`` so the magnitude keeps a headroom bit).  The
-    single-word encoders use this for quires a plan proves fit one word:
-    no limb normalization, no sticky tail — the magnitude *is* the exact
-    ``top``.
+    (``|word| < 2**62`` so the magnitude keeps a headroom bit).  The word
+    round tables are proven against the encoder on this view, for quires
+    a plan proves fit one word: no limb normalization, no sticky tail — the
+    magnitude *is* the exact ``top``.
     """
     w = np.asarray(words, dtype=np.int64)
     sign = w < 0
@@ -151,6 +154,35 @@ def words_as_quire(words: np.ndarray) -> NormalizedQuire:
         shift=np.zeros(w.shape, dtype=np.int64),
         sticky=np.zeros(w.shape, dtype=bool),
         is_zero=w == 0,
+    )
+
+
+def floats_as_quire(values, lsb_exponent: int) -> NormalizedQuire:
+    """Sign/magnitude view of finite float64s over a quire grid.
+
+    Each value is its exact 53-bit significand ``top`` at the shift, in
+    quire LSBs of weight ``2**lsb_exponent``, that restores its exponent.
+    The shift may be negative: a float need not sit on the quire grid, and
+    the posit and float encoders only read ``total_bits`` and the bits of
+    ``top``.  This is how
+    :meth:`~repro.formats.NumericFormat.quantize_reference` rounds float
+    inputs with the quire encoder (fixed point, whose output stage assumes
+    integer quires, keeps its own input quantizer).  NaN and +-Inf raise
+    ``ValueError``.
+    """
+    f = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("cannot quantize non-finite values")
+    mant, exp = np.frexp(np.abs(f))
+    top = np.ldexp(mant, 53).astype(np.int64)
+    is_zero = top == 0
+    return NormalizedQuire(
+        sign=np.signbit(f),
+        top=top,
+        top_bits=np.where(is_zero, 0, 53),
+        shift=exp.astype(np.int64) - 53 - lsb_exponent,
+        sticky=np.zeros(f.shape, dtype=bool),
+        is_zero=is_zero,
     )
 
 

@@ -25,10 +25,13 @@ changes pattern at most once, and where it does, the family seeds the
 breakpoint in closed form (:meth:`NumericFormat.round_boundaries`: posit
 and float midpoints with their tie directions for ``rne``; the
 representable values themselves for ``rtz``).  One oracle call on either
-side of each seed confirms it, and that *proves* its gap: the oracle
-(``quantize_reference`` for inputs, ``encode_from_quire_words`` for words)
-is monotone, so ``enc(c - 1) == lower`` and ``enc(c) == upper`` pin every
-key of the gap.  A gap whose seed is missing or wrong is bisected against
+side of each seed confirms it, and that *proves* its gap: the oracle is
+the family's one vectorized rounding, ``encode_normalized``, over
+:func:`~repro.formats.quire.floats_as_quire` for inputs
+(``quantize_reference``) and :func:`~repro.formats.quire.words_as_quire`
+for words.  It is monotone, so ``enc(c - 1) == lower`` and
+``enc(c) == upper`` pin every key of the gap, and it shares no code with
+the seeds.  A gap whose seed is missing or wrong is bisected against
 the oracle and proven the same way (:attr:`RoundTable.bisected` counts
 them), so a family without a closed form still builds — only slower.  The
 built-in families bisect nothing.
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .quire import check_rounding_mode
+from .quire import check_rounding_mode, words_as_quire
 
 __all__ = ["RoundTable", "input_table", "round_table"]
 
@@ -310,10 +313,10 @@ def _build(backend, mode, enc, to_keys, ends, *, inputs=False) -> RoundTable:
 def input_table(backend) -> RoundTable:
     """The backend's memoized float64 -> pattern :class:`RoundTable`.
 
-    The oracle is the family's own ``quantize_reference`` (round to
-    nearest, ties as the family rounds them), so the table's
-    :meth:`~RoundTable.quantize` is bit-identical to it for every finite
-    float64.
+    The oracle is the backend's ``quantize_reference`` (its encoder over
+    each float's exact value: round to nearest, ties as the family rounds
+    them), so the table's :meth:`~RoundTable.quantize` is bit-identical to
+    it for every finite float64.
     """
 
     def build():
@@ -333,7 +336,7 @@ def round_table(backend, mode: str = "rne") -> RoundTable:
     """The backend's memoized quire-word :class:`RoundTable` for ``mode``.
 
     ``slot_patterns[indices(word)]`` equals
-    ``encode_from_quire_words(word, mode=mode)`` for every
+    ``encode_normalized(words_as_quire(word), mode)`` for every
     ``|word| <= 2**62`` — the window in which the plans round by table.
     """
     check_rounding_mode(mode)
@@ -342,7 +345,7 @@ def round_table(backend, mode: str = "rne") -> RoundTable:
         lsb = backend.quire_lsb_exponent
 
         def enc(words):
-            patterns = backend.encode_from_quire_words(words, mode=mode)
+            patterns = backend.encode_normalized(words_as_quire(words), mode)
             return patterns.astype(np.int64)
 
         # Values past the window round to patterns the edge gaps'

@@ -12,12 +12,7 @@ from .decode import DecodedPosit, decode, regime_of_run, regime_run_length
 from .encode import encode_exact, encode_float, encode_fraction
 from .value import NaRError, Posit
 from .quire import Quire
-from .tables import (
-    PositTables,
-    dequantize_array,
-    quantize_array,
-    tables_for,
-)
+from .tables import PositTables, dequantize_array, tables_for
 
 __all__ = [
     "PositFormat",
@@ -37,6 +32,5 @@ __all__ = [
     "Quire",
     "PositTables",
     "tables_for",
-    "quantize_array",
     "dequantize_array",
 ]

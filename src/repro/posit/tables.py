@@ -8,6 +8,9 @@ with whole tensors of bit patterns at once.
 Tables are cached per format; building one costs a single pass over all
 ``2**n`` patterns with the scalar decoder, which also makes the tables a
 faithful mirror of the reference implementation by construction.
+:func:`rounding_boundaries` gives the closed-form seeds of the round
+tables (:mod:`repro.formats.rounding`); the tables are proven against the
+posit backend's vectorized encoder, which shares no code with them.
 """
 
 from __future__ import annotations
@@ -124,11 +127,9 @@ def _boundary_table(fmt: PositFormat):
     The boundary separating "round to pattern p" from "round to p+1" under
     the paper's Algorithm-2 guard/sticky rounding is exactly the value of
     the (n+1)-bit, same-es posit whose (signed) pattern is ``2p + 1`` — the
-    classic posit interleaving property.  Representing boundaries this way
-    makes the vectorized quantizer bit-identical to the scalar encoder even
-    across regime-taper boundaries, where value-space "nearest" differs.
-    The last entry holds :func:`quantize_array`'s saturation constants:
-    ``maxpos``, ``minpos`` (floats) and the patterns of their negations.
+    classic posit interleaving property.  Boundaries taken this way are
+    exact round-table seeds even across regime-taper boundaries, where
+    value-space "nearest" differs.
     """
     from .format import standard_format
 
@@ -143,14 +144,11 @@ def _boundary_table(fmt: PositFormat):
     # i / i+1 has the even *magnitude* encoding (Algorithm 2: round = guard
     # & (lsb | sticky) with sticky == 0 keeps an even-lsb pattern).
     boundary_to_lower = (np.abs(signed[:-1]) % 2) == 0
-    negated = (1 << fmt.n) - np.array([fmt.maxpos_pattern, fmt.minpos_pattern])
-    neg_max, neg_min = (negated & fmt.mask).astype(np.uint32)
-    saturation = (float(fmt.maxpos), float(fmt.minpos), neg_max, neg_min)
-    return patterns, boundaries, boundary_to_lower, saturation
+    return patterns, boundaries, boundary_to_lower
 
 
 def rounding_boundaries(fmt: PositFormat) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`quantize_array`'s breakpoints as ``(values, strict)``.
+    """Round-to-nearest breakpoints as ``(values, strict)``.
 
     Breakpoint ``i`` separates the ``i``-th and ``(i+1)``-th patterns in
     value order: the least value rounding up is ``values[i]`` itself, or
@@ -159,7 +157,7 @@ def rounding_boundaries(fmt: PositFormat) -> tuple[np.ndarray, np.ndarray]:
     except around zero: rounding never reaches zero from a nonzero value,
     so zero's slot starts at ``-0.0`` and minpos's just above ``+0.0``.
     """
-    patterns, boundaries, to_lower, _ = _boundary_table(fmt)
+    patterns, boundaries, to_lower = _boundary_table(fmt)
     values, strict = boundaries.copy(), to_lower.copy()
     z = int(np.flatnonzero(patterns == fmt.zero_pattern)[0])
     values[z - 1:z + 1] = (-0.0, 0.0)
@@ -167,37 +165,7 @@ def rounding_boundaries(fmt: PositFormat) -> tuple[np.ndarray, np.ndarray]:
     return values, strict
 
 
-def quantize_array(fmt: PositFormat, values: np.ndarray) -> np.ndarray:
-    """Round a float array to posit patterns (uint32), vectorized.
-
-    Bit-identical to the scalar RNE encoder (Algorithm 2's pattern-space
-    rounding, via :func:`_boundary_table`).  Non-finite inputs raise;
-    sanitize upstream.  The posit backend's ``quantize_batch`` looks inputs
-    up in a round table built and tested against this reference.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    flat = arr.ravel()
-    if not np.all(np.isfinite(flat)):
-        raise ValueError("cannot quantize non-finite values to posit")
-    patterns, boundaries, to_lower, saturation = _boundary_table(fmt)
-    idx = np.searchsorted(boundaries, flat, side="left")
-    hit = np.minimum(idx, len(boundaries) - 1)
-    tie = boundaries[hit] == flat
-    out_idx = idx + np.where(tie & ~to_lower[hit], 1, 0)
-    # out_idx >= 0 already; cap it in place (np.clip costs ~3x as much).
-    np.minimum(out_idx, len(patterns) - 1, out=out_idx)
-    result = patterns[out_idx]
-    # Saturation and the never-round-to-zero rule.
-    maxpos, minpos, neg_max, neg_min = saturation
-    result = np.where(flat >= maxpos, np.uint32(fmt.maxpos_pattern), result)
-    result = np.where(flat <= -maxpos, neg_max, result)
-    result = np.where((flat > 0) & (flat < minpos), np.uint32(fmt.minpos_pattern), result)
-    result = np.where((flat < 0) & (flat > -minpos), neg_min, result)
-    result = np.where(flat == 0.0, np.uint32(fmt.zero_pattern), result)
-    return result.astype(np.uint32).reshape(arr.shape)
-
-
 def dequantize_array(fmt: PositFormat, patterns: np.ndarray) -> np.ndarray:
-    """Map posit patterns back to float64 values via the tables."""
+    """Map posit patterns back to float64 values via the tables (NaR -> NaN)."""
     t = tables_for(fmt)
     return t.float_value[np.asarray(patterns, dtype=np.int64)]

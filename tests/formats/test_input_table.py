@@ -2,10 +2,11 @@
 
 ``quantize_batch`` of every posit and float format looks each float up in
 the backend's input round table (:mod:`repro.formats.rounding`).  One
-differential property test pins it to the family ``quantize_array`` (the
-table's oracle) and to the scalar encoders, over every posit and float
-sweep format plus a 12-bit posit and a 12-bit float.  Draws favour the
-breakpoints and their float64 neighbours and cover float64 subnormals,
+differential property test pins it to ``quantize_reference`` (the table's
+oracle: the backend's encoder over each float's exact value) and to the
+scalar encoders, over every posit and float sweep format plus a 12-bit
+posit and a 12-bit float.  Draws favour the breakpoints and their
+float64 neighbours and cover float64 subnormals,
 signed zero, magnitudes past maxpos, float32 and integer dtypes, and 0-d,
 empty and non-contiguous arrays; non-finite inputs raise in any chunk.
 
@@ -26,11 +27,9 @@ from hypothesis import strategies as st
 
 from repro import formats
 from repro.floatp import codec as float_codec
-from repro.floatp import tables as float_tables
-from repro.formats import rounding
+from repro.formats import rounding, words_as_quire
 from repro.formats.rounding import input_table, round_table
 from repro.posit import encode as posit_encode
-from repro.posit import tables as posit_tables
 
 #: Every posit and float sweep format, plus one 12-bit posit and float.
 TABLE_NAMES = [
@@ -48,11 +47,6 @@ GUARD_NAMES = [
 ] + ["posit12_1", "float5_6"]
 
 _BIG = np.finfo(np.float64).max
-
-
-def family_quantize(backend, x):
-    module = posit_tables if backend.family == "posit" else float_tables
-    return module.quantize_array(backend.fmt, x)
 
 
 def scalar_quantize(backend, v: float) -> int:
@@ -126,12 +120,12 @@ def quantize_inputs(draw):
 class TestQuantizeByTable:
     @settings(max_examples=300, deadline=None)
     @given(case=quantize_inputs())
-    def test_matches_family_quantizer_and_scalar_encoders(self, case):
+    def test_matches_quantize_reference_and_scalar_encoders(self, case):
         name, x = case
         backend = formats.get(name)
         got = backend.quantize_batch(x)
         assert got.dtype == np.uint32 and got.shape == x.shape
-        assert np.array_equal(got, family_quantize(backend, x))
+        assert np.array_equal(got, backend.quantize_reference(x))
         flat = np.asarray(x, dtype=np.float64).ravel()
         assert [int(p) for p in got.ravel()] == [
             scalar_quantize(backend, float(v)) for v in flat
@@ -220,7 +214,5 @@ class TestSeededBuild:
                 words.boundaries, words.boundaries - 1,
                 rng.integers(-(2**40), 2**40, 5000),
             ])
-            assert np.array_equal(
-                words.lookup(w),
-                seeded.encode_from_quire_words(w, mode=mode).astype(np.int64),
-            )
+            want = seeded.encode_normalized(words_as_quire(w), mode)
+            assert np.array_equal(words.lookup(w), want.astype(np.int64))

@@ -7,14 +7,14 @@ plan's rounding mode, with pattern ReLU between layers), bit for bit: a
 network's ``network_kernel(mode)`` for every sweep candidate of widths 5-8
 in both modes, and plans of random 1-3-layer topologies over every format
 of ``FORMATS``, both rounding modes, maxpos-heavy weights that push the
-quire past 62 bits, and multi-plane layers.  Around
-it: the oracle-built round table against ``encode_from_quire_words`` over
-the whole single-word window, its O(1) bucket index against plain
-``searchsorted``, the pattern-space ReLU composition against ``engine.relu``
-on every valid pattern, the one-plane/two-plane exactness boundary, pinned
-wide quires on both sides of the round table's window, shape edges, and
-input rejection.  Each layer's planes are a fixed function of it, the same
-in every process, and all 459 layers of the sweep grid take ``plane``.
+quire past 62 bits, and multi-plane layers.  Around it: the oracle-built
+round table against the encoder over the whole single-word window, its
+O(1) bucket index against plain ``searchsorted``, the pattern-space ReLU
+composition against ``engine.relu`` on every valid pattern, the
+one-plane/two-plane exactness boundary, pinned wide quires on both sides
+of the round table's window, shape edges, and input rejection.  Each
+layer's planes are a fixed function of it, the same in every process, and
+all 459 layers of the sweep grid take ``plane``.
 """
 
 import multiprocessing
@@ -30,6 +30,7 @@ from repro.core import engine_for
 from repro.core.positron import PositronNetwork
 from repro.fixedpoint import fixed_format
 from repro.floatp import float_format
+from repro.formats import words_as_quire
 from repro.formats.network import NetworkKernel, operand_values
 from repro.formats.rounding import round_table
 from repro.nn.quantize import candidate_configs
@@ -155,7 +156,7 @@ def deployment_plans():
 
 class TestRoundTable:
     def test_matches_encoder_over_window(self, table_fmt):
-        """Lookup == encode_from_quire_words across the int64 word window."""
+        """Lookup == the encoder across the int64 word window."""
         backend = formats.backend_for(table_fmt)
         rng = np.random.default_rng(11)
         cap = np.int64(1) << 62
@@ -171,7 +172,7 @@ class TestRoundTable:
                     np.array([-cap, cap, -1, 0, 1], dtype=np.int64),
                 ]
             )
-            expected = backend.encode_from_quire_words(words, mode=mode)
+            expected = backend.encode_normalized(words_as_quire(words), mode)
             assert np.array_equal(rt.lookup(words), expected.astype(np.int64))
 
     def test_bucket_index_matches_searchsorted(self, table_fmt):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro import formats
 from repro.core.accumulator import LIMB_BITS, combine_limbs
 from repro.fixedpoint import fixed_format
+from repro.floatp import codec as float_codec
 from repro.floatp import float_format
 from repro.posit.format import standard_format
 
@@ -84,3 +85,22 @@ def test_edge_quires(backend):
     limbs = np.array(rows, dtype=np.int64)
     got = backend.encode_from_quire_batch(limbs)
     assert [int(g) for g in got] == scalar_roundoff(backend, limbs)
+
+
+@pytest.mark.parametrize("mode", formats.ROUNDING_MODES)
+def test_only_a_float_zero_carries_a_sign(mode):
+    """The float encoder gives a -0.0 input the sign pattern, as
+    ``encode_float(-0.0)`` does; zero words and zero limbs (a cancelling
+    row included) carry no sign and round to +0."""
+    backend = formats.get("float4_3")
+    fmt = backend.fmt
+    zeros = np.array([0.0, -0.0])
+    floats = formats.floats_as_quire(zeros, backend.quire_lsb_exponent)
+    got = backend.encode_normalized(floats, mode)
+    assert got.tolist() == [0, fmt.sign_mask] == [
+        float_codec.encode_float(fmt, v) for v in zeros
+    ]
+    words = formats.words_as_quire(np.zeros(2, dtype=np.int64))
+    assert backend.encode_normalized(words, mode).tolist() == [0, 0]
+    limbs = np.array([[0] * 4, [-(1 << LIMB_BITS), 1, 0, 0]], dtype=np.int64)
+    assert backend.encode_from_quire_batch(limbs, mode=mode).tolist() == [0, 0]

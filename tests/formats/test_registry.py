@@ -96,6 +96,37 @@ class TestBackendMetadata:
         assert backend.make_scalar_emac().width == 8
 
 
+class TestPatternInputs:
+    """``decode_batch`` and ``relu_batch`` check the caller's patterns
+    before any cast: a float is refused, not truncated, and a negative or
+    too-wide integer is refused, not wrapped onto a valid pattern."""
+
+    @pytest.mark.parametrize("method", ["decode_batch", "relu_batch"])
+    @pytest.mark.parametrize("name", ["posit8_1", "float4_3", "fixed8_4"])
+    def test_checked_before_any_cast(self, name, method):
+        backend = formats.get(name)
+        call = getattr(backend, method)
+        for bad in (
+            np.array([1.7, 2.0]),
+            np.array([1, -1]),
+            np.array([0, 1 << backend.width]),
+            np.array([True, False]),
+        ):
+            with pytest.raises(ValueError, match="pattern"):
+                call(bad)
+        every = np.arange(1 << backend.width)
+        want = call(every)
+        for dtype in (np.uint8, np.int16, np.uint32):
+            assert np.array_equal(call(every.astype(dtype)), want, equal_nan=True)
+        # NaR and reserved patterns are valid inputs.
+        tables = backend.limb_tables()
+        invalid = every[tables.invalid] if tables is not None else every[:0]
+        if method == "decode_batch":
+            assert np.isnan(want[invalid]).all()
+        else:
+            assert (want[invalid] == 0).all()
+
+
 @dataclass(frozen=True)
 class _BrainFormat(FloatFormat):
     """A 'new' bfloat-style family: float semantics, distinct identity."""

@@ -1,10 +1,10 @@
 """Property tests for the batched round-toward-zero output stage.
 
-``encode_from_quire_batch(..., mode="rtz")`` (and the single-word sibling)
-must be bit-identical to ``truncate_scalar`` — the exact ``Fraction``
-reference ``forward_scalar`` rounds with in ``"rtz"`` — for every registered
-format: negatives, exact-boundary ties, signed zero, saturation, empty
-batches, and both the limb and single-word entry points.  One-layer plans,
+``encode_from_quire_batch(..., mode="rtz")`` (and ``encode_normalized``
+over single-word quires) must be bit-identical to ``truncate_scalar`` — the
+exact ``Fraction`` reference ``forward_scalar`` rounds with in ``"rtz"`` —
+for every registered format: negatives, exact-boundary ties, signed zero,
+saturation, empty batches, and both the limb and single-word entry points.  One-layer plans,
 the engines and a network's ``network_kernel(mode)`` must carry the mode
 through (every plan path is covered in both modes by the differential
 suite in ``test_network_kernel.py``).
@@ -85,7 +85,7 @@ def test_batched_rtz_bit_identical(backend_idx, seed, num_limbs, magnitude_bits)
 def test_word_path_matches_limb_path_and_oracle(backend, rng):
     words = rng.integers(-(1 << 60), 1 << 60, size=64, dtype=np.int64)
     words[:6] = [0, 1, -1, 2, -(1 << 60), (1 << 60) - 1]
-    got = backend.encode_from_quire_words(words, mode="rtz")
+    got = backend.encode_normalized(formats.words_as_quire(words), "rtz")
     limbs = np.array([int_to_limbs(int(w), 5) for w in words], dtype=np.int64)
     assert np.array_equal(got, backend.encode_from_quire_batch(limbs, mode="rtz"))
     lsb = Fraction(2) ** backend.quire_lsb_exponent
@@ -200,8 +200,8 @@ def test_saturation(backend, rng):
 def test_empty_batch(backend):
     empty = np.zeros((0, 5), dtype=np.int64)
     assert backend.encode_from_quire_batch(empty, mode="rtz").shape == (0,)
-    words = np.zeros((0,), dtype=np.int64)
-    assert backend.encode_from_quire_words(words, mode="rtz").shape == (0,)
+    words = formats.words_as_quire(np.zeros((0,), dtype=np.int64))
+    assert backend.encode_normalized(words, "rtz").shape == (0,)
 
 
 def test_unknown_mode_rejected_everywhere():
@@ -210,7 +210,8 @@ def test_unknown_mode_rejected_everywhere():
     with pytest.raises(ValueError, match="rounding mode"):
         backend.encode_from_quire_batch(limbs, mode="up")
     with pytest.raises(ValueError, match="rounding mode"):
-        backend.encode_from_quire_words(np.zeros(1, dtype=np.int64), mode="up")
+        words = formats.words_as_quire(np.zeros(1, dtype=np.int64))
+        backend.encode_normalized(words, "up")
     with pytest.raises(ValueError, match="rounding mode"):
         backend.compile_network(
             [(np.zeros((1, 1), dtype=np.uint32), None, "identity")],

@@ -3,17 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.posit import (
-    Posit,
-    decode,
-    dequantize_array,
-    quantize_array,
-    tables_for,
-)
+from repro import formats
+from repro.posit import Posit, decode, dequantize_array, tables_for
 from repro.posit.format import PositFormat, standard_format
 from repro.posit.tables import MAX_TABLE_BITS
 
 P8 = standard_format(8, 1)
+quantize = formats.backend_for(P8).quantize_reference
 
 
 class TestTableConstruction:
@@ -57,24 +53,34 @@ class TestPatternMaps:
                 assert out == bits
 
 
-class TestQuantizeArrays:
+class TestQuantizeReference:
+    """The backend's encoder over float inputs, the input tables' oracle."""
+
     def test_quantize_matches_scalar(self, rng):
         values = rng.normal(size=50) * 3
-        got = quantize_array(P8, values)
+        got = quantize(values)
         for v, bits in zip(values, got):
             assert int(bits) == Posit.from_value(P8, float(v)).bits
 
-    def test_quantize_rejects_nan(self):
-        with pytest.raises(ValueError):
-            quantize_array(P8, np.array([np.nan]))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_quantize_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize(np.array([1.0, bad]))
 
     def test_quantize_preserves_shape(self, rng):
         values = rng.normal(size=(3, 4))
-        assert quantize_array(P8, values).shape == (3, 4)
+        assert quantize(values).shape == (3, 4)
 
     def test_dequantize_roundtrip(self, rng):
         values = rng.normal(size=20)
-        patterns = quantize_array(P8, values)
+        patterns = quantize(values)
         back = dequantize_array(P8, patterns)
-        again = quantize_array(P8, back)
+        again = quantize(back)
         assert np.array_equal(patterns, again)
+
+    def test_signed_zero_idempotent(self):
+        """Posits have one zero: +-0.0 both quantize to it, and it decodes
+        back to 0.0."""
+        got = quantize(np.array([0.0, -0.0]))
+        assert got.tolist() == [P8.zero_pattern] * 2
+        assert np.array_equal(quantize(dequantize_array(P8, got)), got)
